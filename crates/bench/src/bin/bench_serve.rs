@@ -21,23 +21,22 @@
 //!    response (zero drops), every response must be 200, and sampled
 //!    responses — before, during, and after the swap — are verified
 //!    bitwise against the version and window fingerprint they declare.
-//! 4. **Replica scaling** — pure cache-miss throughput (every forecast
-//!    follows a fresh observation, so every one pays a full forward) at
-//!    1, 2, and 4 model replicas, plus a separate 4-replica run that
-//!    hot-swaps mid-load (kept out of the timing runs because the
-//!    swap's per-replica freezes overlap on real cores but serialize
-//!    on small containers). The 4-vs-1 ratio is gated by a
-//!    host-adaptive floor: near-linear (>= 2.5x) on >= 4-core hosts, a
-//!    pathology guard on smaller containers where the replicas time-
-//!    slice one core.
-//! 5. **Report** — rows/sec, latency percentiles, cache hit rate,
-//!    replica scaling, and swap counts into `BENCH_serve.json`, plus an
-//!    `stwa-observe` run manifest (per-replica eval counters, per-
-//!    worker connection counters, swap latency gauge) showing where
-//!    time went. `--check` gates the same-run ratios (hit speedup,
-//!    miss efficiency, hit rate, replica scaling) against the
-//!    checked-in baseline with 15% tolerance; the absolute floors
-//!    (request count, zero errors, zero drops, one swap) always apply.
+//! 4. **Miss windows** — pure cache-miss throughput on the model
+//!    thread: pipelined (observe, forecast) pairs, so every forecast
+//!    follows a fresh observation and pays a full forward, with an
+//!    admin hot swap halfway through. The server must report exactly
+//!    one eval per window. Throughput times the phase-2 direct-eval
+//!    p50 gives `miss_window_efficiency`, the share of the run spent
+//!    in the forward itself.
+//! 5. **Report** — rows/sec, latency percentiles, cache hit rate, miss
+//!    windows/s, and swap counts into `BENCH_serve.json`, plus an
+//!    `stwa-observe` run manifest (eval counter, per-worker connection
+//!    counters, swap latency gauge) showing where time went. `--check`
+//!    gates the same-run ratios (hit speedup, miss efficiency, hit
+//!    rate, miss-window efficiency) against the checked-in baseline
+//!    with 15% tolerance; the absolute floors (request count, zero
+//!    errors, zero drops, one swap, one eval per window) always
+//!    apply.
 
 #![cfg(target_os = "linux")]
 
@@ -79,30 +78,11 @@ const DEPTH: usize = 64;
 const OBSERVE_EVERY: u64 = 5_000;
 const VERIFY_EVERY: u64 = 4_096;
 
-/// Replica-scaling phase: pool sizes measured, rounds of
-/// (observe, forecast) pairs per run, pipeline depth in pairs, and the
-/// bitwise-verification sampling stride.
-const SCALE_REPLICAS: [usize; 3] = [1, 2, 4];
+/// Miss-window phase: rounds of (observe, forecast) pairs, pipeline
+/// depth in pairs, and the bitwise-verification sampling stride.
 const SCALE_ROUNDS: u64 = 160;
 const SCALE_DEPTH_PAIRS: usize = 8;
 const SCALE_VERIFY_EVERY: u64 = 32;
-
-/// Absolute floor on 4-replica-vs-1 miss throughput as a function of
-/// core count: near-linear scaling where the cores exist, a pathology
-/// guard (the pool must not make a small host dramatically slower)
-/// where they don't. Mirrors `bench_epoch`'s host-adaptive idiom.
-fn scaling_floor(cores: usize) -> f64 {
-    if cores >= 4 {
-        2.5
-    } else if cores >= 2 {
-        1.1
-    } else {
-        // One core: 4 replicas time-slice it, so all the floor can
-        // catch is outright pathology (serialization collapse or a
-        // stalled dispatcher), not scheduler overhead.
-        0.25
-    }
-}
 
 fn serving_config() -> StwaConfig {
     let mut cfg = StwaConfig::st_wa(SENSORS, HISTORY, HORIZON);
@@ -331,32 +311,26 @@ fn run_load(
     }
 }
 
-struct ScaleResult {
-    replicas: usize,
+struct MissWindows {
     windows_per_s: f64,
     verified: u64,
 }
 
-/// One replica-scaling run: a fresh registry and server with
-/// `replicas` model threads, driven by a single client pipelining
-/// (observe, forecast) pairs [`SCALE_DEPTH_PAIRS`] deep. Every
-/// observation invalidates the window, so every forecast is a
-/// guaranteed cache miss: the next observe's settle forces exactly one
-/// full forward per round on the round's affinity replica, and the
-/// sensor rotation spreads consecutive rounds across the pool. With
-/// `swap_mid_run`, v2 is published and hot-swapped halfway through
-/// under the same in-flight traffic.
+/// The miss-window run: a fresh registry and server, driven by a
+/// single client pipelining (observe, forecast) pairs
+/// [`SCALE_DEPTH_PAIRS`] deep. Every observation invalidates the
+/// window, so every forecast is a guaranteed cache miss: the next
+/// observe's settle forces exactly one full forward per round. Halfway
+/// through, v2 is published and hot-swapped under the same in-flight
+/// traffic.
 ///
 /// Frames replay the phase-1 sequence from t=0, so the oracle's window
 /// and forward memos are shared with the earlier phases.
-fn run_replica_scale(replicas: usize, oracle: &mut Oracle, swap_mid_run: bool) -> ScaleResult {
+fn run_miss_windows(oracle: &mut Oracle) -> MissWindows {
     let (n, h, f, u) = (oracle.n, oracle.h, oracle.f, oracle.u);
-    let root = std::env::temp_dir().join(format!(
-        "stwa_bench_serve_scale{replicas}_{}",
-        std::process::id()
-    ));
+    let root = std::env::temp_dir().join(format!("stwa_bench_serve_miss_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);
-    let registry = Registry::open(&root).expect("scale registry");
+    let registry = Registry::open(&root).expect("miss-window registry");
     registry
         .publish(
             MODEL_NAME,
@@ -365,7 +339,6 @@ fn run_replica_scale(replicas: usize, oracle: &mut Oracle, swap_mid_run: bool) -
         .expect("publish v1");
     let cfg = ServeConfig {
         io_threads: 2,
-        model_threads: replicas,
         max_wait: Duration::from_millis(1),
         ttl: Duration::from_secs(600),
         // Swaps are admin-triggered here so each run is deterministic.
@@ -373,8 +346,7 @@ fn run_replica_scale(replicas: usize, oracle: &mut Oracle, swap_mid_run: bool) -
         registry: Some((root.clone(), MODEL_NAME.to_string())),
         ..ServeConfig::default()
     };
-    let server = Server::start(cfg, || Ok(model(V1_SEED))).expect("scale server");
-    assert_eq!(server.replicas(), replicas);
+    let server = Server::start(cfg, || Ok(model(V1_SEED))).expect("miss-window server");
     let mut client = Client::connect(server.addr()).expect("connect");
 
     let mut window = vec![0.0f32; n * h * f];
@@ -390,7 +362,7 @@ fn run_replica_scale(replicas: usize, oracle: &mut Oracle, swap_mid_run: bool) -
     let t0 = Instant::now();
     while sent_rounds < SCALE_ROUNDS || client.outstanding > 0 {
         while client.outstanding < 2 * SCALE_DEPTH_PAIRS && sent_rounds < SCALE_ROUNDS {
-            if swap_mid_run && !swap_sent && sent_rounds == SCALE_ROUNDS / 2 {
+            if !swap_sent && sent_rounds == SCALE_ROUNDS / 2 {
                 registry
                     .publish(
                         MODEL_NAME,
@@ -408,8 +380,6 @@ fn run_replica_scale(replicas: usize, oracle: &mut Oracle, swap_mid_run: bool) -
                 .send_post("/observe", &observe_body(&fr))
                 .expect("send observe");
             inflight.push_back(None);
-            // The sensor rotation rotates the affinity replica too, so
-            // consecutive windows evaluate on different replicas.
             let sensor = (sent_rounds % n as u64) as u32;
             client
                 .send_get(&format!("/forecast?sensor={sensor}&horizon={u}"))
@@ -424,22 +394,18 @@ fn run_replica_scale(replicas: usize, oracle: &mut Oracle, swap_mid_run: bool) -
         } else if let Some((sensor, horizon)) = tag {
             answered += 1;
             if answered.is_multiple_of(SCALE_VERIFY_EVERY) {
-                oracle.verify(&resp.body, sensor, horizon, "scale sample");
+                oracle.verify(&resp.body, sensor, horizon, "miss-window sample");
                 verified += 1;
             }
         }
     }
     let wall_s = t0.elapsed().as_secs_f64();
-    assert_eq!(errors, 0, "scale run saw non-200 responses");
+    assert_eq!(errors, 0, "miss-window run saw non-200 responses");
     assert_eq!(answered, SCALE_ROUNDS, "every forecast must be answered");
-    if swap_mid_run {
-        assert_eq!(server.swaps(), 1, "scale run must complete exactly one swap");
-    } else {
-        assert_eq!(server.swaps(), 0);
-    }
+    assert_eq!(server.swaps(), 1, "miss-window run must complete exactly one swap");
 
-    // The pool must actually have spread the work: with the sensor
-    // rotation and no spill pressure, every replica owns rounds.
+    // One full forward per window, no more: every per-sensor answer is
+    // a slice of it.
     let stats = client.get("/stats").expect("stats");
     let doc = stwa_observe::parse_json(std::str::from_utf8(&stats.body).expect("utf8"))
         .expect("stats json");
@@ -450,21 +416,20 @@ fn run_replica_scale(replicas: usize, oracle: &mut Oracle, swap_mid_run: bool) -
         .iter()
         .map(|v| v.as_num().expect("eval count"))
         .collect();
-    assert_eq!(evals.len(), replicas);
-    assert!(
-        evals.iter().all(|&e| e > 0.0),
-        "idle replica in scale run: {evals:?}"
+    assert_eq!(
+        evals.iter().sum::<f64>(),
+        SCALE_ROUNDS as f64,
+        "miss-window run must cost exactly one eval per window: {evals:?}"
     );
     let swap_errors = doc.get("swap_errors").and_then(|v| v.as_num()).unwrap_or(0.0);
-    assert_eq!(swap_errors, 0.0, "scale run saw swap errors");
+    assert_eq!(swap_errors, 0.0, "miss-window run saw swap errors");
 
     drop(client);
     let (requests_total, responses_total) = server.traffic();
     server.shutdown();
     let _ = std::fs::remove_dir_all(&root);
-    assert_eq!(requests_total, responses_total, "scale run dropped requests");
-    ScaleResult {
-        replicas,
+    assert_eq!(requests_total, responses_total, "miss-window run dropped requests");
+    MissWindows {
         windows_per_s: SCALE_ROUNDS as f64 / wall_s,
         verified,
     }
@@ -532,7 +497,7 @@ fn main() {
     }
 
     // Record counters/gauges so the run manifest can show where time
-    // went (per-replica evals, per-worker conns, swap latency).
+    // went (evals, per-worker conns, swap latency).
     stwa_observe::set_enabled(true);
 
     // Registry with v1 published; the server freezes from it.
@@ -771,47 +736,15 @@ fn main() {
         "server parsed {requests_total} requests but sent {responses_total} responses"
     );
 
-    // ---- Phase 4: replica scaling on pure cache-miss traffic ------------
+    // ---- Phase 4: pure cache-miss windows with a mid-run swap -----------
     let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
-    let mut scale: Vec<ScaleResult> = Vec::new();
-    for &r in &SCALE_REPLICAS {
-        let res = run_replica_scale(r, &mut oracle, false);
-        println!(
-            "phase 4: {} replica{} -> {:.1} miss-windows/s ({} verified bitwise)",
-            res.replicas,
-            if res.replicas == 1 { "" } else { "s" },
-            res.windows_per_s,
-            res.verified,
-        );
-        scale.push(res);
-    }
-    // Coordinated swap under full-pool pipelined miss traffic; timed
-    // separately so the freezes don't pollute the scaling ratios.
-    let max_replicas = *SCALE_REPLICAS.last().expect("non-empty");
-    let swap_run = run_replica_scale(max_replicas, &mut oracle, true);
+    let miss_run = run_miss_windows(&mut oracle);
+    let miss_window_efficiency = miss_run.windows_per_s * direct_p50 / 1e6;
     println!(
-        "phase 4: {} replicas + mid-run coordinated swap -> {:.1} miss-windows/s \
-         ({} verified bitwise, 0 errors, 0 drops)",
-        max_replicas, swap_run.windows_per_s, swap_run.verified,
+        "phase 4: {:.1} miss-windows/s with a mid-run swap ({} verified bitwise, \
+         1 eval per window, 0 errors, 0 drops), efficiency {miss_window_efficiency:.3}",
+        miss_run.windows_per_s, miss_run.verified,
     );
-    let scale_base = scale[0].windows_per_s;
-    let replica_scaling_2 = scale[1].windows_per_s / scale_base;
-    let replica_scaling_4 = scale[2].windows_per_s / scale_base;
-    let floor_4 = scaling_floor(cores);
-    println!(
-        "phase 4: scaling x2 {replica_scaling_2:.2}, x4 {replica_scaling_4:.2} \
-         (host floor {floor_4:.2} on {cores} core{})",
-        if cores == 1 { "" } else { "s" },
-    );
-    // The host-adaptive absolute floor applies on every run, checked or
-    // not — a pool that scales worse than the host allows is broken.
-    if replica_scaling_4 < floor_4 {
-        eprintln!(
-            "REGRESSION: 4-replica miss throughput is only {replica_scaling_4:.2}x the \
-             1-replica path (floor {floor_4:.2} for {cores} cores)"
-        );
-        std::process::exit(1);
-    }
 
     let fields: Vec<(&str, f64)> = vec![
         ("requests", load.requests as f64),
@@ -832,13 +765,8 @@ fn main() {
         ("swaps", swaps as f64),
         ("min_hit_speedup", MIN_HIT_SPEEDUP),
         ("cores", cores as f64),
-        ("replica_miss_per_s_1", scale[0].windows_per_s),
-        ("replica_miss_per_s_2", scale[1].windows_per_s),
-        ("replica_miss_per_s_4", scale[2].windows_per_s),
-        ("replica_scaling_2", replica_scaling_2),
-        ("replica_scaling_4", replica_scaling_4),
-        ("replica_scaling_floor", floor_4),
-        ("replica_swap_miss_per_s", swap_run.windows_per_s),
+        ("miss_windows_per_s", miss_run.windows_per_s),
+        ("miss_window_efficiency", miss_window_efficiency),
     ];
 
     // Where the time went, from the servers' own instrumentation. The
@@ -851,7 +779,6 @@ fn main() {
         .config_num("cores", cores as f64)
         .config_num("io_threads", 2.0)
         .config_num("scale_rounds", SCALE_ROUNDS as f64)
-        .config_num("max_replicas", *SCALE_REPLICAS.last().expect("non-empty") as f64)
         .capture_runtime();
     println!("serve counters (manifest):");
     for (name, val) in stwa_observe::counters_snapshot() {
@@ -870,25 +797,13 @@ fn main() {
             .unwrap_or_else(|e| panic!("cannot read baseline {baseline_path}: {e}"));
         let mut failed = false;
         // Same-run ratios only: portable across hosts of different
-        // absolute speed. replica_scaling_4 is additionally floored by
-        // the host-adaptive guard above, which already ran.
+        // absolute speed.
         for key in [
             "hit_speedup",
             "miss_efficiency",
             "cache_hit_rate",
-            "replica_scaling_4",
+            "miss_window_efficiency",
         ] {
-            if key == "replica_scaling_4" && cores < 4 {
-                // Below 4 cores the ratio measures scheduler noise, not
-                // the code: only the pathology floor (already enforced
-                // above) applies. On >= 4 cores the baseline binds.
-                println!(
-                    "note: {cores}-core host, replica_scaling_4 gated by the \
-                     host floor only ({:.2} >= {:.2})",
-                    replica_scaling_4, floor_4
-                );
-                continue;
-            }
             let new_val = fields.iter().find(|(k, _)| *k == key).expect("field").1;
             let Some(old_val) = parse_number(&baseline, key) else {
                 println!("note: no baseline value for {key}, skipping");

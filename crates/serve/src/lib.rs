@@ -3,10 +3,10 @@
 //! The inference engine (`stwa-infer`) is deliberately single-threaded:
 //! tensors are `Rc` copy-on-write, so a model, its frozen session, and
 //! the micro-batching [`stwa_infer::InferQueue`] all live on one
-//! thread. This crate puts a network in front of a **pool** of such
-//! threads — each replica freezes its own `FrozenStwa` on-thread from
-//! the same registry version, so nothing `!Send` ever crosses a thread
-//! boundary — without adding any dependency:
+//! thread. This crate puts a network in front of that one model thread
+//! — it runs the builder and freezes its `FrozenStwa` on-thread, so
+//! nothing `!Send` ever crosses a thread boundary — without adding any
+//! dependency:
 //!
 //! - [`reactor`] — a minimal epoll readiness loop (the three epoll
 //!   syscalls glibc already links, wrapped safely) plus a socket-pair
@@ -19,10 +19,8 @@
 //! - [`proto`] — JSON request/response bodies over
 //!   `stwa_observe::Json`; f32 forecasts survive the wire bitwise.
 //! - [`server`] — N IO worker threads (epoll + HTTP + cache) in front
-//!   of a replica pool of model threads (per-replica `InferQueue`,
-//!   mirrored rolling window, coordinated registry hot swap); cache
-//!   misses are dispatched by sensor affinity with least-queue-depth
-//!   spill, and plain `Vec<f32>` jobs cross threads over `mpsc`.
+//!   of one model thread (`InferQueue`, rolling window, registry hot
+//!   swap); plain `Vec<f32>` jobs cross threads over `mpsc`.
 //! - [`client`] — a blocking pipelining client for tests and the load
 //!   generator.
 //!

@@ -63,7 +63,9 @@ pub fn error_body(message: &str) -> Vec<u8> {
 }
 
 /// Parse a `POST /observe` body: `{"frame": [f32; N*F]}` — one new
-/// time step for every sensor, appended to the rolling window.
+/// time step for every sensor, appended to the rolling window. Values
+/// that are not finite as f32 (e.g. `1e39` overflows to `inf`) are
+/// rejected: one would poison every forecast until it leaves the window.
 pub fn parse_observe(body: &[u8], expect_len: usize) -> Result<Vec<f32>, String> {
     let text = std::str::from_utf8(body).map_err(|_| "body is not UTF-8".to_string())?;
     let doc = parse_json(text).map_err(|e| format!("bad JSON: {e}"))?;
@@ -79,10 +81,17 @@ pub fn parse_observe(body: &[u8], expect_len: usize) -> Result<Vec<f32>, String>
     }
     frame
         .iter()
-        .map(|v| {
-            v.as_num()
-                .map(|n| n as f32)
-                .ok_or_else(|| "frame holds a non-number".to_string())
+        .enumerate()
+        .map(|(i, v)| {
+            let n = v
+                .as_num()
+                .ok_or_else(|| "frame holds a non-number".to_string())?;
+            let x = n as f32;
+            if x.is_finite() {
+                Ok(x)
+            } else {
+                Err(format!("frame value {i} ({n}) is not a finite f32"))
+            }
         })
         .collect()
 }
@@ -164,6 +173,17 @@ mod tests {
         assert!(parse_observe(br#"{"frame": ["x"]}"#, 1)
             .unwrap_err()
             .contains("non-number"));
+    }
+
+    #[test]
+    fn observe_rejects_values_that_are_not_finite_as_f32() {
+        // 1e39 is a finite f64 but overflows f32 to inf.
+        let err = parse_observe(br#"{"frame": [1.0, 1e39, 2.0]}"#, 3).unwrap_err();
+        assert!(err.contains("value 1"), "{err}");
+        assert!(parse_observe(br#"{"frame": [-1e39]}"#, 1).is_err());
+        // The f32 extremes themselves are fine.
+        let body = format!("{{\"frame\": [{}, {}]}}", f32::MAX as f64, f32::MIN as f64);
+        assert_eq!(parse_observe(body.as_bytes(), 2).unwrap(), vec![f32::MAX, f32::MIN]);
     }
 
     #[test]

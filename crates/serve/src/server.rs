@@ -1,54 +1,40 @@
-//! The serving front-end: IO worker threads over an epoll reactor, a
-//! pool of model replica threads each owning its own frozen snapshot,
-//! and the channels between them.
+//! The serving front-end: IO worker threads over an epoll reactor, one
+//! model thread owning the frozen snapshot, and the channels between
+//! them.
 //!
-//! Tensors are single-threaded (`Rc` copy-on-write storage), so a
+//! Tensors are single-threaded (`Rc` copy-on-write storage), so the
 //! model, its frozen session, and its micro-batching queue all live on
-//! exactly one thread. PR 9 put *one* such thread behind N IO workers;
-//! on a many-core host that single evaluator is the bottleneck. The
-//! replica pool fixes it the same way `ShardEngine` parallelizes
-//! training: the builder closure runs once *per replica thread* (a
-//! `!Send` model can be built anywhere but moved nowhere), every
-//! replica freezes the same pinned registry version, and each owns a
-//! private `InferQueue`, plan arena, and memo LRU. IO workers still
-//! own the sockets, parse HTTP, and serve cache hits inline; misses
-//! are sharded across replicas by sensor-affinity hashing
-//! (`sensor % n` keeps a sensor's window-fingerprint coalescing and
-//! memo hot on one replica) with least-queue-depth spill when the
-//! affinity target backs up.
+//! exactly one thread; the builder closure runs there (a `!Send` model
+//! can be built anywhere but moved nowhere). One thread is also all the
+//! work calls for: ST-WA's sensor-correlation attention mixes every
+//! sensor inside a window, so one frozen forward yields the whole
+//! `[N, U, F]` forecast and each per-sensor answer is a slice of it.
+//! Further model threads would only rerun that same forward; multi-core
+//! speed comes from `stwa-pool` intra-op parallelism inside it. IO
+//! workers own the sockets, parse HTTP, and serve cache hits inline;
+//! misses, observations, and swaps reach the model thread over one
+//! `mpsc` channel.
 //!
 //! Correctness invariants:
 //! - **In-order responses per connection.** HTTP/1.1 pipelining means
 //!   responses must leave in request order even when a cache hit (an
-//!   inline reply) overtakes a replica round trip. Every parsed
+//!   inline reply) overtakes a model-thread round trip. Every parsed
 //!   request takes a per-connection sequence number and completed
 //!   responses wait in a `BTreeMap` until their turn.
-//! - **Identical windows on every replica.** Observations broadcast to
-//!   all replicas under one lock, so every replica channel sees them
-//!   in the same order; each replica applies the same frames to the
-//!   same zero-initialized window and their fingerprints never
-//!   diverge. A forecast dispatched to any replica therefore answers
-//!   for the same window the others would.
 //! - **Read-your-writes per connection.** A forecast pipelined behind
 //!   an observation on the same connection skips the cache and lands
-//!   on some replica's channel *behind* that replica's copy of the
-//!   observe (one mpsc producer per worker ⇒ FIFO), so it is
-//!   evaluated against the new window.
+//!   on the model channel *behind* that observe (one mpsc producer per
+//!   worker ⇒ FIFO), so it is evaluated against the new window.
 //! - **Version stamps are registry versions.** Responses name the
 //!   registry version they were computed under (0 = the builder's
-//!   weights, which can never be swapped). Unlike per-thread store
-//!   counters, registry versions are identical across replicas by
-//!   construction, so a (version, window_fp) stamp is
-//!   bitwise-verifiable against direct eval no matter which replica
-//!   answered.
-//! - **Coordinated swaps, zero drops.** A swap broadcasts like an
-//!   observe; each replica flips between settled bursts (queue empty
-//!   by construction), pinned to one target version. The shared
-//!   version is published and old-version cache entries are purged
-//!   only after the *last* replica flips; until then hits serve the
-//!   old version and misses truthfully stamp whichever version their
-//!   replica is on. Shutdown stops accepting, drains every in-flight
-//!   job, flushes every write buffer, and only then lets threads exit.
+//!   weights, which can never be swapped), so a (version, window_fp)
+//!   stamp is bitwise-verifiable against direct eval.
+//! - **Zero-drop swaps.** A swap flips between settled bursts (queue
+//!   empty by construction): the model thread freezes the new version,
+//!   publishes it, and purges the old version's cache entries before it
+//!   answers anything else. Shutdown stops accepting, drains every
+//!   in-flight job, flushes every write buffer, and only then lets
+//!   threads exit.
 
 use std::collections::{BTreeMap, HashMap};
 use std::io::{Read, Write};
@@ -56,7 +42,7 @@ use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use stwa_core::StwaModel;
@@ -75,13 +61,8 @@ use crate::reactor::{Epoll, Event, WakeReader, Waker, EPOLLIN, EPOLLOUT};
 pub struct ServeConfig {
     /// Bind address; use port 0 to let the OS pick.
     pub addr: String,
-    /// IO worker threads (model replicas always get their own threads).
+    /// IO worker threads (the model always gets its own thread).
     pub io_threads: usize,
-    /// Model replica threads. Each runs the builder closure itself,
-    /// freezes the same pinned registry version, and owns a private
-    /// `InferQueue` + memo. 1 reproduces the PR 9 single-evaluator
-    /// path bit for bit.
-    pub model_threads: usize,
     /// Micro-batching knobs forwarded to [`InferQueue`].
     pub max_batch: usize,
     pub max_wait: Duration,
@@ -89,17 +70,14 @@ pub struct ServeConfig {
     /// entry never outlives the step it predicts.
     pub ttl: Duration,
     pub cache_shards: usize,
-    /// How often replica 0 checks the registry for a newer published
-    /// version (hot swap). Ignored without a registry.
+    /// How often the model thread checks the registry for a newer
+    /// published version (hot swap). Ignored without a registry.
     pub registry_poll: Duration,
     /// How often IO worker 0 sweeps expired cache entries. Expiry is
     /// checked on every read; the sweep only reclaims memory.
     pub sweep_interval: Duration,
     /// Panel precision for the frozen serving snapshot.
     pub precision: Precision,
-    /// Per-replica memo of recent full forwards, keyed by window
-    /// fingerprint (small: each entry is one `[N, U, F]` output).
-    pub memo_cap: usize,
     /// Registry root + model name. With a registry the server freezes
     /// from the latest published version and hot-swaps when a newer
     /// one appears; without one it serves the builder's weights as-is.
@@ -111,7 +89,6 @@ impl Default for ServeConfig {
         ServeConfig {
             addr: "127.0.0.1:0".to_string(),
             io_threads: stwa_pool::configured_threads().max(1),
-            model_threads: 1,
             max_batch: 32,
             max_wait: Duration::from_millis(2),
             ttl: Duration::from_secs(300),
@@ -119,13 +96,16 @@ impl Default for ServeConfig {
             registry_poll: Duration::from_millis(200),
             sweep_interval: Duration::from_secs(5),
             precision: Precision::F32,
-            memo_cap: 8,
             registry: None,
         }
     }
 }
 
-/// Model dimensions published once by the replica pool.
+/// Recent full forwards the model thread memoizes, keyed by window
+/// fingerprint (small: each entry is one `[N, U, F]` output).
+const MEMO_CAP: usize = 8;
+
+/// Model dimensions published once by the model thread.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Dims {
     pub sensors: usize,
@@ -134,24 +114,11 @@ pub struct Dims {
     pub features: usize,
 }
 
-/// Coordinated-swap barrier: the last replica to flip to `target`
-/// publishes the shared version and purges the old one's cache
-/// entries.
-struct SwapState {
-    /// Public version the pool is flipping to (0 = no swap yet).
-    target: u64,
-    /// Replicas that have flipped to `target`.
-    flipped: usize,
-    /// Public version being retired, recorded by the first flipper.
-    old_version: u64,
-    started: Option<Instant>,
-}
-
 /// Counters and snapshot state shared by every thread.
 struct Shared {
     shutdown: AtomicBool,
-    /// Registry version of the pool-wide published snapshot (0 =
-    /// builder weights; cache key part).
+    /// Registry version of the published snapshot (0 = builder
+    /// weights; cache key part).
     version: AtomicU64,
     /// Fingerprint of the current input window (cache key part).
     window_fp: AtomicU64,
@@ -164,31 +131,22 @@ struct Shared {
     swap_errors: AtomicU64,
     client_aborts: AtomicU64,
     conns: AtomicU64,
-    /// Duration of the last coordinated swap, first close to last flip.
+    /// Duration of the last swap's publish plus purge.
     swap_us: AtomicU64,
-    /// In-flight jobs per replica channel (dispatch heuristic input).
-    replica_depth: Vec<AtomicUsize>,
-    /// Full window evaluations per replica.
-    replica_evals: Vec<AtomicU64>,
-    /// Serializes observe/swap broadcasts so every replica channel
-    /// receives them in the same order — the invariant that keeps
-    /// replica windows (and their fingerprints) identical.
-    broadcast: Mutex<()>,
-    swap_state: Mutex<SwapState>,
+    /// Jobs sent to the model thread and not yet processed.
+    depth: AtomicUsize,
+    /// Full window evaluations on the model thread.
+    evals: AtomicU64,
 }
 
-#[derive(Clone)]
 enum JobKind {
     Forecast { sensor: u32, horizon: u32 },
     Observe { frame: Vec<f32> },
-    /// Pin to a specific registry version (poll broadcasts resolve the
-    /// target once so every replica loads the same version exactly
-    /// once); `None` (admin) resolves latest on each replica.
-    Swap { target: Option<u32> },
+    /// Admin-forced registry poll.
+    Swap,
 }
 
-/// Where a reply must go. Broadcast jobs carry a route only on
-/// replica 0's copy — it is the sole responder.
+/// Where a reply must go.
 #[derive(Clone, Copy)]
 struct Route {
     worker: usize,
@@ -198,15 +156,9 @@ struct Route {
 }
 
 struct Job {
-    route: Option<Route>,
+    route: Route,
     kind: JobKind,
 }
-
-/// What a replica reports once its snapshot is frozen: `(dims, public
-/// version, window fingerprint)` on success — cross-checked for
-/// equality across the pool before the server accepts traffic.
-type ReadyInfo = (Dims, u64, u64);
-type ReplicaReady = (usize, Result<ReadyInfo, String>);
 
 struct Reply {
     conn: u64,
@@ -214,8 +166,7 @@ struct Reply {
     bytes: Vec<u8>,
     close_after: bool,
     /// Reply to an observe — pairs the worker's `inflight_observes`
-    /// decrement exactly (replica replies are not in per-connection
-    /// submission order once misses shard across replicas).
+    /// decrement exactly.
     observe: bool,
 }
 
@@ -227,23 +178,21 @@ pub struct Server {
     shared: Arc<Shared>,
     wakers: Vec<Waker>,
     workers: Vec<std::thread::JoinHandle<()>>,
-    replicas: Vec<std::thread::JoinHandle<()>>,
+    model: std::thread::JoinHandle<()>,
 }
 
 impl Server {
-    /// Bind, spawn the replica pool (each replica runs `build` and
-    /// freezes its own serving snapshot on-thread, because tensors are
-    /// not `Send`), wait until every replica is ready and agrees on
-    /// dims/version/window, then spawn the IO workers.
+    /// Bind, spawn the model thread (it runs `build` and freezes the
+    /// serving snapshot on-thread, because tensors are not `Send`),
+    /// wait until it is ready, then spawn the IO workers.
     pub fn start<F>(config: ServeConfig, build: F) -> std::io::Result<Server>
     where
-        F: Fn() -> stwa_tensor::Result<StwaModel> + Send + Sync + 'static,
+        F: FnOnce() -> stwa_tensor::Result<StwaModel> + Send + 'static,
     {
         let listener = TcpListener::bind(&config.addr)?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
 
-        let n_replicas = config.model_threads.max(1);
         let shared = Arc::new(Shared {
             shutdown: AtomicBool::new(false),
             version: AtomicU64::new(0),
@@ -258,36 +207,9 @@ impl Server {
             client_aborts: AtomicU64::new(0),
             conns: AtomicU64::new(0),
             swap_us: AtomicU64::new(0),
-            replica_depth: (0..n_replicas).map(|_| AtomicUsize::new(0)).collect(),
-            replica_evals: (0..n_replicas).map(|_| AtomicU64::new(0)).collect(),
-            broadcast: Mutex::new(()),
-            swap_state: Mutex::new(SwapState {
-                target: 0,
-                flipped: 0,
-                old_version: 0,
-                started: None,
-            }),
+            depth: AtomicUsize::new(0),
+            evals: AtomicU64::new(0),
         });
-
-        // Resolve the initial registry version once, so every replica
-        // loads the same pinned version even if a publish races
-        // startup.
-        let pinned_version: u32 = match &config.registry {
-            None => 0,
-            Some((root, name)) => {
-                let reg = stwa_ckpt::Registry::open(root)
-                    .map_err(|e| std::io::Error::other(format!("open registry: {e}")))?;
-                let versions = reg
-                    .versions(name)
-                    .map_err(|e| std::io::Error::other(format!("registry versions: {e}")))?;
-                if versions.is_empty() {
-                    0
-                } else {
-                    reg.latest(name)
-                        .map_err(|e| std::io::Error::other(format!("registry latest: {e}")))?
-                }
-            }
-        };
 
         let io_threads = config.io_threads.max(1);
         let mut reply_txs = Vec::with_capacity(io_threads);
@@ -299,86 +221,28 @@ impl Server {
             worker_parts.push((reply_rx, wake_reader, waker));
         }
 
-        // Replica pool first: workers must not accept until dims and
-        // the initial version are published. Replica 0 additionally
-        // holds senders to its peers for registry-poll swap broadcasts;
-        // teardown cascades through it (workers drop their senders →
-        // replica 0 exits and drops the peer senders → peers exit).
-        let build = Arc::new(build);
-        let mut job_txs: Vec<Sender<Job>> = Vec::with_capacity(n_replicas);
-        let mut job_rxs: Vec<Receiver<Job>> = Vec::with_capacity(n_replicas);
-        for _ in 0..n_replicas {
-            let (tx, rx) = std::sync::mpsc::channel::<Job>();
-            job_txs.push(tx);
-            job_rxs.push(rx);
-        }
-        let (ready_tx, ready_rx) = std::sync::mpsc::channel::<ReplicaReady>();
-        let mut replicas = Vec::with_capacity(n_replicas);
-        for (idx, job_rx) in job_rxs.into_iter().enumerate() {
-            let peer_txs: Vec<Sender<Job>> = if idx == 0 {
-                job_txs[1..].to_vec()
-            } else {
-                Vec::new()
-            };
-            let cfg = config.clone();
-            let build = Arc::clone(&build);
+        // Model thread first: workers must not accept until dims and
+        // the initial version are published. It exits once every
+        // worker has dropped its job sender.
+        let (job_tx, job_rx) = std::sync::mpsc::channel::<Job>();
+        let (ready_tx, ready_rx) = std::sync::mpsc::channel::<Result<Dims, String>>();
+        let sweep_interval = config.sweep_interval;
+        let model = {
             let shared = Arc::clone(&shared);
-            let reply_txs = reply_txs.clone();
-            let ready_tx = ready_tx.clone();
-            replicas.push(
-                std::thread::Builder::new()
-                    .name(format!("stwa-serve-model{idx}"))
-                    .spawn(move || {
-                        replica_main(
-                            idx,
-                            n_replicas,
-                            cfg,
-                            build,
-                            shared,
-                            job_rx,
-                            peer_txs,
-                            reply_txs,
-                            ready_tx,
-                            pinned_version,
-                        )
-                    })?,
-            );
-        }
-        drop(ready_tx);
-
-        let abort = |job_txs: Vec<Sender<Job>>, replicas: Vec<std::thread::JoinHandle<()>>| {
-            drop(job_txs);
-            for replica in replicas {
-                let _ = replica.join();
+            std::thread::Builder::new()
+                .name("stwa-serve-model".to_string())
+                .spawn(move || model_main(config, build, shared, job_rx, reply_txs, ready_tx))?
+        };
+        let ready = ready_rx
+            .recv()
+            .unwrap_or_else(|_| Err("died before ready".to_string()));
+        let dims = match ready {
+            Ok(dims) => dims,
+            Err(e) => {
+                let _ = model.join();
+                return Err(std::io::Error::other(format!("model thread failed: {e}")));
             }
         };
-        let mut infos: Vec<Option<ReadyInfo>> = vec![None; n_replicas];
-        for _ in 0..n_replicas {
-            match ready_rx.recv() {
-                Ok((idx, Ok(info))) => infos[idx] = Some(info),
-                Ok((idx, Err(e))) => {
-                    abort(job_txs, replicas);
-                    return Err(std::io::Error::other(format!("replica {idx} failed: {e}")));
-                }
-                Err(_) => {
-                    abort(job_txs, replicas);
-                    return Err(std::io::Error::other("replica died before ready"));
-                }
-            }
-        }
-        let (dims, version, window_fp) = infos[0].expect("replica 0 reported ready");
-        for (idx, info) in infos.iter().enumerate() {
-            let (d, v, fp) = info.expect("replica reported ready");
-            if d != dims || v != version || fp != window_fp {
-                abort(job_txs, replicas);
-                return Err(std::io::Error::other(format!(
-                    "replica {idx} diverged at startup: \
-                     ({d:?}, v{v}, fp {fp:#x}) vs ({dims:?}, v{version}, fp {window_fp:#x})"
-                )));
-            }
-        }
-        shared.version.store(version, Ordering::Release);
-        shared.window_fp.store(window_fp, Ordering::Release);
 
         let mut wakers = Vec::with_capacity(io_threads);
         let mut workers = Vec::with_capacity(io_threads);
@@ -386,8 +250,7 @@ impl Server {
             wakers.push(waker);
             let listener = listener.try_clone()?;
             let shared = Arc::clone(&shared);
-            let job_txs = job_txs.clone();
-            let sweep_interval = config.sweep_interval;
+            let job_tx = job_tx.clone();
             workers.push(
                 std::thread::Builder::new()
                     .name(format!("stwa-serve-io{idx}"))
@@ -397,7 +260,7 @@ impl Server {
                             listener,
                             shared,
                             dims,
-                            job_txs,
+                            job_tx,
                             reply_rx,
                             wake_reader,
                             sweep_interval,
@@ -405,7 +268,7 @@ impl Server {
                     })?,
             );
         }
-        drop(job_txs); // replicas exit once every worker is gone
+        drop(job_tx); // the model thread exits once every worker is gone
 
         Ok(Server {
             addr,
@@ -413,7 +276,7 @@ impl Server {
             shared,
             wakers,
             workers,
-            replicas,
+            model,
         })
     }
 
@@ -425,20 +288,15 @@ impl Server {
         self.dims
     }
 
-    /// Pool-wide published snapshot version: the registry version every
-    /// replica currently serves (0 = builder weights, never swapped).
+    /// Published snapshot version: the registry version the model
+    /// thread currently serves (0 = builder weights, never swapped).
     pub fn version(&self) -> u64 {
         self.shared.version.load(Ordering::Acquire)
     }
 
-    /// Completed (pool-wide) hot swaps so far.
+    /// Completed hot swaps so far.
     pub fn swaps(&self) -> u64 {
         self.shared.swaps.load(Ordering::Relaxed)
-    }
-
-    /// Model replica threads serving this instance.
-    pub fn replicas(&self) -> usize {
-        self.shared.replica_depth.len()
     }
 
     /// (requests parsed, responses sent) so far.
@@ -451,106 +309,32 @@ impl Server {
 
     /// Graceful drain: stop accepting, serve everything in flight,
     /// flush every socket, join every thread.
-    pub fn shutdown(mut self) {
+    pub fn shutdown(self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
         for waker in &self.wakers {
             waker.wake();
         }
-        for worker in self.workers.drain(..) {
+        for worker in self.workers {
             let _ = worker.join();
         }
-        for replica in self.replicas.drain(..) {
-            let _ = replica.join();
-        }
+        let _ = self.model.join();
     }
 }
 
 // ---------------------------------------------------------------------------
-// Replica dispatch
+// Model dispatch
 // ---------------------------------------------------------------------------
 
-/// Queue depth at which the affinity replica is considered backed up.
-const SPILL_DEPTH: usize = 32;
-
-/// Pick a replica for a cache-miss forecast: sensor-affinity hashing
-/// (`sensor % n` keeps one sensor's fingerprint coalescing and memo
-/// hot on one replica) with least-depth spill only when the affinity
-/// target is backed up *and* meaningfully deeper than the least-loaded
-/// replica — the hysteresis keeps affinity sticky under jitter.
-fn pick_replica(sensor: u32, depths: &[usize]) -> usize {
-    let n = depths.len();
-    let affinity = sensor as usize % n;
-    if n == 1 || depths[affinity] < SPILL_DEPTH {
-        return affinity;
-    }
-    let (mut min_idx, mut min_depth) = (affinity, depths[affinity]);
-    for (idx, &depth) in depths.iter().enumerate() {
-        if depth < min_depth {
-            min_idx = idx;
-            min_depth = depth;
-        }
-    }
-    if depths[affinity] - min_depth >= SPILL_DEPTH / 2 {
-        min_idx
-    } else {
-        affinity
-    }
-}
-
-/// Send a forecast miss to its replica. Returns false when the pool is
-/// gone (shutdown).
-fn dispatch_forecast(
-    job_txs: &[Sender<Job>],
-    shared: &Shared,
-    route: Route,
-    sensor: u32,
-    horizon: u32,
-) -> bool {
-    let idx = if job_txs.len() == 1 {
-        0
-    } else {
-        let depths: Vec<usize> = shared
-            .replica_depth
-            .iter()
-            .map(|d| d.load(Ordering::Relaxed))
-            .collect();
-        pick_replica(sensor, &depths)
-    };
-    shared.replica_depth[idx].fetch_add(1, Ordering::Relaxed);
-    let job = Job {
-        route: Some(route),
-        kind: JobKind::Forecast { sensor, horizon },
-    };
-    if job_txs[idx].send(job).is_ok() {
+/// Hand a job to the model thread. Returns false when the model thread
+/// is gone (shutdown).
+fn dispatch(job_tx: &Sender<Job>, shared: &Shared, route: Route, kind: JobKind) -> bool {
+    shared.depth.fetch_add(1, Ordering::Relaxed);
+    if job_tx.send(Job { route, kind }).is_ok() {
         true
     } else {
-        shared.replica_depth[idx].fetch_sub(1, Ordering::Relaxed);
+        shared.depth.fetch_sub(1, Ordering::Relaxed);
         false
     }
-}
-
-/// Send an observe/swap to every replica in one atomic order (the
-/// broadcast lock is what keeps replica windows identical). Replica 0
-/// gets the route and answers; the rest apply silently. Returns false
-/// when the responder channel is gone.
-fn broadcast(job_txs: &[Sender<Job>], shared: &Shared, route: Route, kind: JobKind) -> bool {
-    let _order = shared.broadcast.lock().unwrap();
-    let mut routed_ok = false;
-    for (idx, tx) in job_txs.iter().enumerate() {
-        let job = Job {
-            route: (idx == 0).then_some(route),
-            kind: kind.clone(),
-        };
-        shared.replica_depth[idx].fetch_add(1, Ordering::Relaxed);
-        if tx.send(job).is_ok() {
-            if idx == 0 {
-                routed_ok = true;
-            }
-        } else {
-            shared.replica_depth[idx].fetch_sub(1, Ordering::Relaxed);
-        }
-    }
-    routed_ok
 }
 
 // ---------------------------------------------------------------------------
@@ -571,11 +355,11 @@ struct Conn {
     next_flush: u64,
     /// Completed responses waiting for their turn.
     done: BTreeMap<u64, (Vec<u8>, bool)>,
-    /// Requests handed to the replica pool, not yet replied.
+    /// Requests handed to the model thread, not yet replied.
     inflight: usize,
-    /// Observations handed to the pool, not yet replied — while
-    /// nonzero, forecasts on this connection bypass the cache so their
-    /// replica orders them after the observe.
+    /// Observations handed to the model thread, not yet replied —
+    /// while nonzero, forecasts on this connection bypass the cache so
+    /// the model thread orders them after the observe.
     inflight_observes: usize,
     /// Stop reading (a `Connection: close` request or a fatal parse
     /// error); the connection dies once fully flushed.
@@ -590,7 +374,7 @@ fn worker_main(
     listener: TcpListener,
     shared: Arc<Shared>,
     dims: Dims,
-    job_txs: Vec<Sender<Job>>,
+    job_tx: Sender<Job>,
     reply_rx: Receiver<Reply>,
     wake_reader: WakeReader,
     sweep_interval: Duration,
@@ -634,7 +418,7 @@ fn worker_main(
             for token in tokens {
                 let conn = conns.get_mut(&token).unwrap();
                 if !conn.closing
-                    && read_and_dispatch(worker_idx, token, conn, &shared, &dims, &job_txs)
+                    && read_and_dispatch(worker_idx, token, conn, &shared, &dims, &job_tx)
                 {
                     let _ = epoll.delete(conn.stream.as_raw_fd());
                     conns.remove(&token);
@@ -689,7 +473,7 @@ fn worker_main(
                     let mut dead = false;
                     if ev.readable && !conn.closing {
                         dead = read_and_dispatch(
-                            worker_idx, token, conn, &shared, &dims, &job_txs,
+                            worker_idx, token, conn, &shared, &dims, &job_tx,
                         );
                     }
                     if ev.writable && !dead {
@@ -717,7 +501,7 @@ fn worker_main(
             }
         }
 
-        // Replica replies (the waker fired, or we woke anyway).
+        // Model-thread replies (the waker fired, or we woke anyway).
         while let Ok(reply) = reply_rx.try_recv() {
             let Some(conn) = conns.get_mut(&reply.conn) else {
                 // Client hung up before its answer came back; the abort
@@ -726,9 +510,8 @@ fn worker_main(
             };
             conn.inflight -= 1;
             if reply.observe {
-                // Exact pairing: replies are tagged, because with
-                // several replicas they no longer arrive in
-                // per-connection submission order.
+                // Exact pairing: the reply says whether it answers
+                // an observe.
                 conn.inflight_observes = conn.inflight_observes.saturating_sub(1);
             }
             complete(conn, reply.seq, reply.bytes, reply.close_after);
@@ -797,7 +580,7 @@ fn accept_all(
 }
 
 /// Read everything available, parse pipelined requests, answer inline
-/// or dispatch to the replica pool. Returns true when the connection
+/// or dispatch to the model thread. Returns true when the connection
 /// is dead.
 fn read_and_dispatch(
     worker_idx: usize,
@@ -805,7 +588,7 @@ fn read_and_dispatch(
     conn: &mut Conn,
     shared: &Shared,
     dims: &Dims,
-    job_txs: &[Sender<Job>],
+    job_tx: &Sender<Job>,
 ) -> bool {
     let mut chunk = [0u8; 16 * 1024];
     loop {
@@ -852,7 +635,7 @@ fn read_and_dispatch(
                 if !req.keep_alive {
                     conn.closing = true;
                 }
-                match route(worker_idx, token, seq, &req, conn, shared, dims, job_txs) {
+                match route(worker_idx, token, seq, &req, conn, shared, dims, job_tx) {
                     Routed::Inline(bytes) => {
                         complete(conn, seq, bytes, !req.keep_alive);
                         shared.responses.fetch_add(1, Ordering::Relaxed);
@@ -885,7 +668,7 @@ fn route(
     conn: &mut Conn,
     shared: &Shared,
     dims: &Dims,
-    job_txs: &[Sender<Job>],
+    job_tx: &Sender<Job>,
 ) -> Routed {
     let inline = |status: u16, reason: &str, body: Vec<u8>| {
         let mut out = Vec::new();
@@ -903,16 +686,10 @@ fn route(
         ("GET", "/healthz") => inline(200, "OK", b"{\"ok\": true}".to_vec()),
         ("GET", "/stats") => {
             let (hits, misses) = shared.cache.stats();
-            let evals: Vec<Json> = shared
-                .replica_evals
-                .iter()
-                .map(|e| Json::Num(e.load(Ordering::Relaxed) as f64))
-                .collect();
-            let depths: Vec<Json> = shared
-                .replica_depth
-                .iter()
-                .map(|d| Json::Num(d.load(Ordering::Relaxed) as f64))
-                .collect();
+            // One model thread; `replica_*` keep their one-element
+            // array shape so existing clients parse them unchanged.
+            let evals = vec![Json::Num(shared.evals.load(Ordering::Relaxed) as f64)];
+            let depths = vec![Json::Num(shared.depth.load(Ordering::Relaxed) as f64)];
             let doc = Json::Obj(vec![
                 ("version".into(), Json::Num(shared.version.load(Ordering::Acquire) as f64)),
                 ("requests".into(), Json::Num(shared.requests.load(Ordering::Relaxed) as f64)),
@@ -923,7 +700,7 @@ fn route(
                 ("cache_hits".into(), Json::Num(hits as f64)),
                 ("cache_misses".into(), Json::Num(misses as f64)),
                 ("cache_entries".into(), Json::Num(shared.cache.len() as f64)),
-                ("replicas".into(), Json::Num(shared.replica_depth.len() as f64)),
+                ("replicas".into(), Json::Num(1.0)),
                 ("replica_evals".into(), Json::Arr(evals)),
                 ("replica_depth".into(), Json::Arr(depths)),
                 ("swaps".into(), Json::Num(shared.swaps.load(Ordering::Relaxed) as f64)),
@@ -956,10 +733,10 @@ fn route(
                 );
             }
             // Cache lookup under a snapshot of (version, window). Both
-            // can move before a replica would evaluate, which is
+            // can move before the model thread would evaluate, which is
             // exactly why misses carry the authoritative values back.
             // Skip the cache while an observe from this connection is
-            // in flight so the replica orders forecast-after-observe
+            // in flight so the model thread orders forecast-after-observe
             // (read-your-writes per connection).
             if conn.inflight_observes == 0 {
                 let key = CacheKey {
@@ -985,30 +762,30 @@ fn route(
                     );
                 }
             }
-            if dispatch_forecast(job_txs, shared, route, sensor, horizon) {
+            if dispatch(job_tx, shared, route, JobKind::Forecast { sensor, horizon }) {
                 Routed::Dispatched
             } else {
-                inline(503, "Service Unavailable", proto::error_body("replica pool is gone"))
+                inline(503, "Service Unavailable", proto::error_body("model thread is gone"))
             }
         }
         ("POST", "/observe") => {
             match proto::parse_observe(&req.body, dims.sensors * dims.features) {
                 Err(e) => inline(400, "Bad Request", proto::error_body(&e)),
                 Ok(frame) => {
-                    if broadcast(job_txs, shared, route, JobKind::Observe { frame }) {
+                    if dispatch(job_tx, shared, route, JobKind::Observe { frame }) {
                         conn.inflight_observes += 1;
                         Routed::Dispatched
                     } else {
-                        inline(503, "Service Unavailable", proto::error_body("replica pool is gone"))
+                        inline(503, "Service Unavailable", proto::error_body("model thread is gone"))
                     }
                 }
             }
         }
         ("POST", "/admin/swap") => {
-            if broadcast(job_txs, shared, route, JobKind::Swap { target: None }) {
+            if dispatch(job_tx, shared, route, JobKind::Swap) {
                 Routed::Dispatched
             } else {
-                inline(503, "Service Unavailable", proto::error_body("replica pool is gone"))
+                inline(503, "Service Unavailable", proto::error_body("model thread is gone"))
             }
         }
         _ => inline(404, "Not Found", proto::error_body("unknown endpoint")),
@@ -1060,7 +837,7 @@ fn update_interest(epoll: &Epoll, token: u64, conn: &mut Conn) {
 }
 
 // ---------------------------------------------------------------------------
-// Model replica
+// Model thread
 // ---------------------------------------------------------------------------
 
 struct ModelState {
@@ -1068,8 +845,7 @@ struct ModelState {
     queue: InferQueue,
     registry: Option<(stwa_ckpt::Registry, String)>,
     /// Registry version currently loaded (0 = builder weights). This
-    /// *is* the public version stamp — identical across replicas by
-    /// construction, unlike per-thread store counters.
+    /// *is* the public version stamp.
     registry_version: u32,
     precision: Precision,
     queue_cfg: QueueConfig,
@@ -1080,52 +856,35 @@ struct ModelState {
     /// Recent full forwards keyed by window fingerprint (version is
     /// implicit: the memo is cleared on swap). Front = most recent.
     memo: Vec<(u64, Arc<Vec<f32>>)>,
-    memo_cap: usize,
-    replica_idx: usize,
-    n_replicas: usize,
-    /// Per-replica eval counter (leaked name, one per replica).
-    evals_counter: &'static stwa_observe::Counter,
-    depth_gauge: &'static stwa_observe::Gauge,
 }
 
 fn public_version(state: &ModelState) -> u64 {
     state.registry_version as u64
 }
 
-#[allow(clippy::too_many_arguments)]
-fn replica_main<F>(
-    replica_idx: usize,
-    n_replicas: usize,
+fn model_main<F>(
     config: ServeConfig,
-    build: Arc<F>,
+    build: F,
     shared: Arc<Shared>,
     job_rx: Receiver<Job>,
-    peer_txs: Vec<Sender<Job>>,
     reply_txs: Vec<(Sender<Reply>, Waker)>,
-    ready_tx: Sender<ReplicaReady>,
-    pinned_version: u32,
+    ready_tx: Sender<Result<Dims, String>>,
 ) where
-    F: Fn() -> stwa_tensor::Result<StwaModel> + Send + Sync + 'static,
+    F: FnOnce() -> stwa_tensor::Result<StwaModel>,
 {
-    // With several replicas the thread is the unit of parallelism:
-    // keep tensor kernels inline instead of contending for the global
-    // pool (kernel chunking depends only on shapes, so inline execution
-    // is bitwise identical to pooled — same contract ShardEngine uses).
-    let _seq = (n_replicas > 1).then(stwa_pool::sequential_scope);
-    let mut state =
-        match init_replica(replica_idx, n_replicas, &config, &*build, pinned_version) {
-            Ok(s) => s,
-            Err(e) => {
-                let _ = ready_tx.send((replica_idx, Err(e)));
-                return;
-            }
-        };
-    let _ = ready_tx.send((
-        replica_idx,
-        Ok((state.dims, public_version(&state), state.window_fp)),
-    ));
+    let mut state = match init_model(&config, build) {
+        Ok(s) => s,
+        Err(e) => {
+            let _ = ready_tx.send(Err(e));
+            return;
+        }
+    };
+    shared.version.store(public_version(&state), Ordering::Release);
+    shared.window_fp.store(state.window_fp, Ordering::Release);
+    let _ = ready_tx.send(Ok(state.dims));
     drop(ready_tx);
 
+    let depth_gauge = stwa_observe::gauge!("serve.queue_depth");
     let mut last_poll = Instant::now();
     let mut burst: Vec<Job> = Vec::new();
     loop {
@@ -1144,9 +903,8 @@ fn replica_main<F>(
             }
             Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {}
             Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => {
-                // Every sender is gone (workers drained at shutdown;
-                // for peers, replica 0 exited too); nothing can be in
-                // flight anymore.
+                // Every worker is gone (drained at shutdown); nothing
+                // can be in flight anymore.
                 let _ = state.queue.close();
                 return;
             }
@@ -1154,53 +912,20 @@ fn replica_main<F>(
 
         if !burst.is_empty() {
             process_burst(&mut state, &burst, &shared, &reply_txs);
-            let was = shared.replica_depth[replica_idx].fetch_sub(burst.len(), Ordering::Relaxed);
-            state.depth_gauge.set((was - burst.len()) as f64);
+            let was = shared.depth.fetch_sub(burst.len(), Ordering::Relaxed);
+            depth_gauge.set((was - burst.len()) as f64);
         }
 
-        // Only replica 0 polls the registry. It resolves the target
-        // version once and broadcasts a pinned swap to its peers, so
-        // every replica loads the same version exactly once.
-        if replica_idx == 0 && state.registry.is_some() && last_poll.elapsed() >= config.registry_poll
-        {
+        if state.registry.is_some() && last_poll.elapsed() >= config.registry_poll {
             last_poll = Instant::now();
-            let latest = {
-                let (registry, name) = state.registry.as_ref().unwrap();
-                registry.latest(name).ok()
-            };
-            if let Some(latest) = latest {
-                if latest > state.registry_version {
-                    {
-                        let _order = shared.broadcast.lock().unwrap();
-                        for (peer, tx) in peer_txs.iter().enumerate() {
-                            shared.replica_depth[peer + 1].fetch_add(1, Ordering::Relaxed);
-                            let job = Job {
-                                route: None,
-                                kind: JobKind::Swap {
-                                    target: Some(latest),
-                                },
-                            };
-                            if tx.send(job).is_err() {
-                                shared.replica_depth[peer + 1].fetch_sub(1, Ordering::Relaxed);
-                            }
-                        }
-                    }
-                    try_swap(&mut state, &shared, Some(latest));
-                }
-            }
+            try_swap(&mut state, &shared);
         }
     }
 }
 
-fn init_replica<F>(
-    replica_idx: usize,
-    n_replicas: usize,
-    config: &ServeConfig,
-    build: &F,
-    pinned_version: u32,
-) -> Result<ModelState, String>
+fn init_model<F>(config: &ServeConfig, build: F) -> Result<ModelState, String>
 where
-    F: Fn() -> stwa_tensor::Result<StwaModel>,
+    F: FnOnce() -> stwa_tensor::Result<StwaModel>,
 {
     let model = build().map_err(|e| format!("build model: {e}"))?;
     let registry = match &config.registry {
@@ -1210,12 +935,27 @@ where
             Some((reg, name.clone()))
         }
     };
+    // Serve the latest published version, or the builder's weights as
+    // version 0 while nothing is published.
+    let version = match &registry {
+        None => 0,
+        Some((reg, name)) => {
+            let versions = reg
+                .versions(name)
+                .map_err(|e| format!("registry versions: {e}"))?;
+            if versions.is_empty() {
+                0
+            } else {
+                reg.latest(name).map_err(|e| format!("registry latest: {e}"))?
+            }
+        }
+    };
     let frozen = match &registry {
-        Some((reg, name)) if pinned_version > 0 => FrozenStwa::freeze_from_registry_at(
+        Some((reg, name)) if version > 0 => FrozenStwa::freeze_from_registry_at(
             &model,
             reg,
             name,
-            Some(pinned_version),
+            Some(version),
             config.precision,
         )
         .map_err(|e| format!("freeze from registry: {e}"))?,
@@ -1227,40 +967,25 @@ where
         horizon: frozen.horizon(),
         features: frozen.features(),
     };
-    let queue = InferQueue::new(
-        InferSession::from_frozen(frozen),
-        QueueConfig {
-            max_batch: config.max_batch,
-            max_wait: config.max_wait,
-        },
-    )
-    .map_err(|e| format!("queue: {e}"))?;
+    let queue_cfg = QueueConfig {
+        max_batch: config.max_batch,
+        max_wait: config.max_wait,
+    };
+    let queue = InferQueue::new(InferSession::from_frozen(frozen), queue_cfg)
+        .map_err(|e| format!("queue: {e}"))?;
     let window = vec![0.0f32; dims.sensors * dims.history * dims.features];
     let window_fp = fingerprint_f32(&window);
-    let evals_counter =
-        stwa_observe::counter(Box::leak(format!("serve.replica{replica_idx}.evals").into_boxed_str()));
-    let depth_gauge = stwa_observe::gauge(Box::leak(
-        format!("serve.replica{replica_idx}.queue_depth").into_boxed_str(),
-    ));
     Ok(ModelState {
         model,
         queue,
         registry,
-        registry_version: pinned_version,
+        registry_version: version,
         precision: config.precision,
-        queue_cfg: QueueConfig {
-            max_batch: config.max_batch,
-            max_wait: config.max_wait,
-        },
+        queue_cfg,
         dims,
         window,
         window_fp,
         memo: Vec::new(),
-        memo_cap: config.memo_cap.max(1),
-        replica_idx,
-        n_replicas,
-        evals_counter,
-        depth_gauge,
     })
 }
 
@@ -1279,9 +1004,9 @@ fn process_burst(
 ) {
     let mut pending: Vec<PendingEval> = Vec::new();
     for job in burst {
+        let route = job.route;
         match &job.kind {
             JobKind::Forecast { sensor, horizon } => {
-                let Some(route) = job.route else { continue };
                 let fp = state.window_fp;
                 if let Some(values) = memo_get(state, fp) {
                     answer_forecast(
@@ -1316,41 +1041,29 @@ fn process_burst(
                 // window they saw, never a newer one.
                 settle(state, shared, reply_txs, &mut pending);
                 apply_observe(state, frame);
-                if state.replica_idx == 0 {
-                    shared.window_fp.store(state.window_fp, Ordering::Release);
-                }
-                if let Some(route) = job.route {
-                    let body = proto::observe_ack(public_version(state), state.window_fp);
-                    send_reply(reply_txs, route, ok_response(body, route.keep_alive), true);
-                }
+                shared.window_fp.store(state.window_fp, Ordering::Release);
+                let body = proto::observe_ack(public_version(state), state.window_fp);
+                send_reply(reply_txs, route, ok_response(body, route.keep_alive), true);
             }
-            JobKind::Swap { target } => {
+            JobKind::Swap => {
                 settle(state, shared, reply_txs, &mut pending);
                 let before = state.registry_version;
-                try_swap(state, shared, *target);
+                try_swap(state, shared);
                 let swapped = state.registry_version != before;
-                if let Some(route) = job.route {
-                    if swapped {
-                        // The responder answers only after the whole
-                        // pool has flipped — no mixed-version serving
-                        // once the admin call returns.
-                        wait_for_pool_flip(shared, public_version(state), state.n_replicas);
-                    }
-                    let doc = Json::Obj(vec![
-                        ("swapped".into(), Json::Bool(swapped)),
-                        ("version".into(), Json::Num(public_version(state) as f64)),
-                        (
-                            "registry_version".into(),
-                            Json::Num(state.registry_version as f64),
-                        ),
-                    ]);
-                    send_reply(
-                        reply_txs,
-                        route,
-                        ok_response(doc.to_string().into_bytes(), route.keep_alive),
-                        false,
-                    );
-                }
+                let doc = Json::Obj(vec![
+                    ("swapped".into(), Json::Bool(swapped)),
+                    ("version".into(), Json::Num(public_version(state) as f64)),
+                    (
+                        "registry_version".into(),
+                        Json::Num(state.registry_version as f64),
+                    ),
+                ]);
+                send_reply(
+                    reply_txs,
+                    route,
+                    ok_response(doc.to_string().into_bytes(), route.keep_alive),
+                    false,
+                );
             }
         }
     }
@@ -1384,9 +1097,8 @@ fn settle(
     for p in pending.drain(..) {
         match state.queue.take(p.ticket) {
             Some(out) => {
-                state.evals_counter.incr();
-                stwa_observe::counter!("serve.replica.evals").incr();
-                shared.replica_evals[state.replica_idx].fetch_add(1, Ordering::Relaxed);
+                stwa_observe::counter!("serve.evals").incr();
+                shared.evals.fetch_add(1, Ordering::Relaxed);
                 // `[1, N, U, F]` → owned row-major values.
                 let values = Arc::new(out.data().to_vec());
                 memo_put(state, p.fp, Arc::clone(&values));
@@ -1433,7 +1145,7 @@ fn memo_get(state: &ModelState, fp: u64) -> Option<Arc<Vec<f32>>> {
 fn memo_put(state: &mut ModelState, fp: u64, values: Arc<Vec<f32>>) {
     state.memo.retain(|(k, _)| *k != fp);
     state.memo.insert(0, (fp, values));
-    state.memo.truncate(state.memo_cap);
+    state.memo.truncate(MEMO_CAP);
 }
 
 /// Extract sensor `s`, steps `0..horizon` from a full `[N, U, F]`
@@ -1483,22 +1195,18 @@ fn answer_forecast(
     send_reply(reply_txs, route, ok_response(body, route.keep_alive), false);
 }
 
-/// Swap this replica's serving snapshot to a newer registry version
-/// (pinned, or latest when `target` is `None`). The flip happens
-/// between settled bursts — the queue is empty by construction — and
-/// reports to the pool-wide barrier; the *last* replica to flip
-/// publishes the shared version and purges the old one's cache
-/// entries, so the cache never loses both versions mid-swap.
-fn try_swap(state: &mut ModelState, shared: &Shared, target: Option<u32>) {
+/// Swap the serving snapshot to the latest registry version when it
+/// is newer than the one loaded. The flip happens between settled
+/// bursts — the queue is empty by construction — and publishes the new
+/// version and purges the old one's cache entries before the model
+/// thread answers anything else.
+fn try_swap(state: &mut ModelState, shared: &Shared) {
     let Some((registry, name)) = &state.registry else {
         return;
     };
-    let latest = match target {
-        Some(v) => v,
-        None => match registry.latest(name) {
-            Ok(v) => v,
-            Err(_) => return, // nothing published yet
-        },
+    let latest = match registry.latest(name) {
+        Ok(v) => v,
+        Err(_) => return, // nothing published yet
     };
     if latest <= state.registry_version {
         return;
@@ -1519,7 +1227,15 @@ fn try_swap(state: &mut ModelState, shared: &Shared, target: Option<u32>) {
             state.queue = queue;
             state.registry_version = latest;
             state.memo.clear();
-            report_flip(state, shared, old_version);
+            // `swap_ms` times the publish plus the purge.
+            let started = Instant::now();
+            shared.version.store(public_version(state), Ordering::Release);
+            shared.cache.purge_version(old_version);
+            shared.swaps.fetch_add(1, Ordering::Relaxed);
+            stwa_observe::counter!("serve.swaps").incr();
+            let us = started.elapsed().as_micros() as u64;
+            shared.swap_us.store(us, Ordering::Relaxed);
+            stwa_observe::gauge!("serve.swap_ms").set(us as f64 / 1000.0);
         }
         Err(_) => {
             // Registry load failed (partial publish, IO error): keep
@@ -1548,52 +1264,6 @@ fn try_swap(state: &mut ModelState, shared: &Shared, target: Option<u32>) {
                 state.memo.clear();
             }
         }
-    }
-}
-
-/// Pool-wide swap barrier. Each replica reports here after flipping;
-/// the last one publishes the new version, purges the retired
-/// version's cache entries, and records the swap duration.
-fn report_flip(state: &ModelState, shared: &Shared, old_version: u64) {
-    let new_version = public_version(state);
-    let mut st = shared.swap_state.lock().unwrap();
-    if st.target != new_version {
-        st.target = new_version;
-        st.flipped = 0;
-        st.old_version = old_version;
-        st.started = Some(Instant::now());
-    }
-    st.flipped += 1;
-    if st.flipped == state.n_replicas {
-        shared.version.store(new_version, Ordering::Release);
-        shared.cache.purge_version(st.old_version);
-        shared.swaps.fetch_add(1, Ordering::Relaxed);
-        stwa_observe::counter!("serve.swaps").incr();
-        if let Some(started) = st.started {
-            let us = started.elapsed().as_micros() as u64;
-            shared.swap_us.store(us, Ordering::Relaxed);
-            stwa_observe::gauge!("serve.swap_ms").set(us as f64 / 1000.0);
-        }
-    }
-}
-
-/// Block until every replica has flipped to `target` (the admin-swap
-/// responder uses this so "swapped: true" means the whole pool moved).
-/// Bounded: a replica whose load failed reports `swap_errors` instead
-/// of flipping, and the wait gives up rather than deadlocking.
-fn wait_for_pool_flip(shared: &Shared, target: u64, n_replicas: usize) {
-    let deadline = Instant::now() + Duration::from_secs(10);
-    loop {
-        {
-            let st = shared.swap_state.lock().unwrap();
-            if st.target == target && st.flipped >= n_replicas {
-                return;
-            }
-        }
-        if Instant::now() >= deadline {
-            return;
-        }
-        std::thread::sleep(Duration::from_micros(200));
     }
 }
 
@@ -1642,43 +1312,5 @@ fn send_reply(
         {
             waker.wake();
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::{pick_replica, SPILL_DEPTH};
-
-    #[test]
-    fn affinity_is_sensor_mod_n_when_unloaded() {
-        let depths = [0usize, 0, 0, 0];
-        for sensor in 0..32u32 {
-            assert_eq!(pick_replica(sensor, &depths), sensor as usize % 4);
-        }
-    }
-
-    #[test]
-    fn single_replica_always_wins() {
-        assert_eq!(pick_replica(7, &[usize::MAX - 1]), 0);
-    }
-
-    #[test]
-    fn spills_to_least_loaded_when_affinity_backed_up() {
-        let mut depths = [0usize; 4];
-        depths[1] = SPILL_DEPTH + 8; // sensor 5's affinity replica
-        assert_eq!(pick_replica(5, &depths), 0, "spill to the least-loaded");
-    }
-
-    #[test]
-    fn hysteresis_keeps_affinity_under_mild_imbalance() {
-        // Affinity is over the spill threshold but the rest of the pool
-        // is nearly as deep: stay put rather than flap.
-        let mut depths = [SPILL_DEPTH; 4];
-        depths[1] = SPILL_DEPTH + SPILL_DEPTH / 2 - 1;
-        assert_eq!(pick_replica(5, &depths), 1);
-        // Once the gap reaches the hysteresis margin, move.
-        depths[1] = SPILL_DEPTH + SPILL_DEPTH / 2;
-        depths[2] = SPILL_DEPTH - 1;
-        assert_eq!(pick_replica(5, &depths), 2);
     }
 }

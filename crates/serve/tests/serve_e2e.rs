@@ -82,6 +82,41 @@ fn assert_bitwise(got: &[f32], want: &[f32], what: &str) {
     }
 }
 
+fn response_version(body: &[u8]) -> u64 {
+    stwa_observe::parse_json(std::str::from_utf8(body).unwrap())
+        .unwrap()
+        .get("version")
+        .and_then(|v| v.as_num())
+        .unwrap() as u64
+}
+
+fn stat(body: &[u8], key: &str) -> f64 {
+    stwa_observe::parse_json(std::str::from_utf8(body).unwrap())
+        .unwrap()
+        .get(key)
+        .and_then(|v| v.as_num())
+        .unwrap_or_else(|| panic!("stats missing {key}"))
+}
+
+/// A registry under the temp dir with `model(seed)` published as v1,
+/// and a server config that serves from it. Swaps in tests that use
+/// this are admin-triggered only: the poll interval is long enough
+/// that a publish never races the poller.
+fn registry_with_v1(tag: &str, seed: u64) -> (std::path::PathBuf, Registry, ServeConfig) {
+    let root = std::env::temp_dir().join(format!("stwa_serve_{tag}_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let registry = Registry::open(&root).unwrap();
+    registry
+        .publish("ST-WA", &TrainCheckpoint::params_only("ST-WA", model(seed).store()))
+        .unwrap();
+    let cfg = ServeConfig {
+        registry: Some((root.clone(), "ST-WA".to_string())),
+        registry_poll: Duration::from_secs(60),
+        ..config()
+    };
+    (root, registry, cfg)
+}
+
 #[test]
 fn served_forecasts_match_direct_eval_bitwise() {
     let server = Server::start(config(), || Ok(model(42))).unwrap();
@@ -113,6 +148,22 @@ fn served_forecasts_match_direct_eval_bitwise() {
             assert_bitwise(&got, &want, &format!("sensor {sensor} horizon {horizon}"));
         }
     }
+
+    // One forward yields the whole [N, U, F] forecast (sensor
+    // attention mixes every sensor), so the sweep above costs exactly
+    // one evaluation: every answer is a slice of it.
+    let stats = client.get("/stats").unwrap();
+    let doc = stwa_observe::parse_json(std::str::from_utf8(&stats.body).unwrap()).unwrap();
+    assert_eq!(stat(&stats.body, "replicas"), 1.0);
+    let evals: Vec<f64> = doc
+        .get("replica_evals")
+        .and_then(|v| v.as_arr())
+        .unwrap()
+        .iter()
+        .map(|v| v.as_num().unwrap())
+        .collect();
+    assert_eq!(evals, vec![1.0], "one window must cost exactly one eval");
+
     server.shutdown();
 }
 
@@ -228,6 +279,57 @@ fn bad_requests_get_4xx_without_killing_the_connection() {
 }
 
 #[test]
+fn non_finite_observe_is_rejected_and_leaves_the_window_unchanged() {
+    let server = Server::start(config(), || Ok(model(11))).unwrap();
+    let dims = server.dims();
+    let (n, h, f) = (dims.sensors, dims.history, dims.features);
+    let mut client = Client::connect(server.addr()).unwrap();
+
+    let mut window = vec![0.0f32; n * h * f];
+    let fr = frame(1, n, f);
+    let ack = client.post("/observe", &observe_body(&fr)).unwrap();
+    assert_eq!(ack.status, 200);
+    apply_frame(&mut window, &fr, n, h, f);
+    let fp = stwa_serve::proto::parse_window_fp(&ack.body).unwrap();
+    let before = client.get("/forecast?sensor=1&horizon=2").unwrap();
+    assert_eq!(before.status, 200);
+    let before_vals = stwa_serve::proto::parse_forecast_values(&before.body).unwrap();
+
+    // 1e39 is a valid JSON number but overflows f32 to inf.
+    let mut items: Vec<String> = frame(2, n, f).iter().map(|v| format!("{}", *v as f64)).collect();
+    items[0] = "1e39".to_string();
+    let bad = format!("{{\"frame\": [{}]}}", items.join(", "));
+    let resp = client.post("/observe", bad.as_bytes()).unwrap();
+    assert_eq!(resp.status, 400, "{}", String::from_utf8_lossy(&resp.body));
+
+    // Nothing moved: the same window answers, bitwise the same.
+    let after = client.get("/forecast?sensor=1&horizon=2").unwrap();
+    assert_eq!(after.status, 200);
+    assert_eq!(stwa_serve::proto::parse_window_fp(&after.body).unwrap(), fp);
+    let after_vals = stwa_serve::proto::parse_forecast_values(&after.body).unwrap();
+    assert_bitwise(&after_vals, &before_vals, "forecast after rejected frame");
+
+    // The next good frame lands on the unpoisoned window.
+    let fr = frame(3, n, f);
+    let ack = client.post("/observe", &observe_body(&fr)).unwrap();
+    assert_eq!(ack.status, 200);
+    apply_frame(&mut window, &fr, n, h, f);
+    assert_eq!(
+        stwa_serve::proto::parse_window_fp(&ack.body).unwrap(),
+        stwa_serve::cache::fingerprint_f32(&window),
+        "next ack names the window without the rejected frame"
+    );
+    let resp = client.get("/forecast?sensor=1&horizon=2").unwrap();
+    assert_eq!(resp.status, 200);
+    let session = InferSession::new(&model(11)).unwrap();
+    let got = stwa_serve::proto::parse_forecast_values(&resp.body).unwrap();
+    let want = direct_eval(&session, &window, n, h, f, 1, 2);
+    assert_bitwise(&got, &want, "forecast after the next good frame");
+
+    server.shutdown();
+}
+
+#[test]
 fn registry_hot_swap_serves_new_weights_and_drops_nothing() {
     let root = std::env::temp_dir().join(format!("stwa_serve_swap_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);
@@ -325,4 +427,167 @@ fn shutdown_drains_every_pipelined_request() {
         let resp = client.recv().unwrap_or_else(|e| panic!("request {i} dropped: {e}"));
         assert_eq!(resp.status, 200, "request {i}");
     }
+}
+
+#[test]
+fn coordinated_swap_under_pipelined_traffic_zero_drops_no_mixed_versions() {
+    let (root, registry, cfg) = registry_with_v1("burst_swap", 101);
+    let server = Server::start(cfg, || Ok(model(1))).unwrap();
+    let dims = server.dims();
+    let (n, h, f) = (dims.sensors, dims.history, dims.features);
+    assert_eq!(server.version(), 1, "server starts on registry v1");
+
+    let mut admin = Client::connect(server.addr()).unwrap();
+    let mut traffic = Client::connect(server.addr()).unwrap();
+
+    // Window stays all-zeros for the swap phase so any in-flight
+    // forecast is checkable against both versions.
+    let window = vec![0.0f32; n * h * f];
+    let v1_session = InferSession::new(&model(101)).unwrap();
+    let v2_session = InferSession::new(&model(202)).unwrap();
+
+    // Publish v2, then pipeline traffic *around* the swap: the
+    // traffic connection has a deep burst in flight while the admin
+    // connection swaps. Mid-swap responses may name v1 or v2 — each
+    // must be bitwise-true to the version it names.
+    registry
+        .publish("ST-WA", &TrainCheckpoint::params_only("ST-WA", model(202).store()))
+        .unwrap();
+    const BURST: usize = 24;
+    for i in 0..BURST {
+        traffic
+            .send_get(&format!("/forecast?sensor={}&horizon={}", i % n, 1 + i % dims.horizon))
+            .unwrap();
+    }
+    let swap = admin.post("/admin/swap", b"").unwrap();
+    assert_eq!(swap.status, 200);
+    let swap_text = String::from_utf8_lossy(&swap.body).to_string();
+    assert!(swap_text.contains("\"swapped\":true"), "{swap_text}");
+    assert_eq!(response_version(&swap.body), 2);
+    assert_eq!(server.version(), 2, "swap reply means the new version is published");
+    assert_eq!(server.swaps(), 1);
+
+    for i in 0..BURST {
+        let resp = traffic.recv().unwrap_or_else(|e| panic!("in-flight request {i} dropped: {e}"));
+        assert_eq!(resp.status, 200, "in-flight request {i}");
+        let version = response_version(&resp.body);
+        let session = match version {
+            1 => &v1_session,
+            2 => &v2_session,
+            v => panic!("request {i} names unknown version {v}"),
+        };
+        let got = stwa_serve::proto::parse_forecast_values(&resp.body).unwrap();
+        let want = direct_eval(session, &window, n, h, f, i % n, 1 + i % dims.horizon);
+        assert_bitwise(&got, &want, &format!("mid-swap request {i} (v{version})"));
+    }
+
+    // After the swap call returned, no response may name v1 again —
+    // the version is published before the admin reply leaves.
+    for i in 0..2 * BURST {
+        traffic
+            .send_get(&format!("/forecast?sensor={}&horizon={}", i % n, 1 + i % dims.horizon))
+            .unwrap();
+    }
+    for i in 0..2 * BURST {
+        let resp = traffic.recv().unwrap();
+        assert_eq!(resp.status, 200, "post-swap request {i}");
+        assert_eq!(response_version(&resp.body), 2, "post-swap request {i} mixed version");
+        let got = stwa_serve::proto::parse_forecast_values(&resp.body).unwrap();
+        let want = direct_eval(&v2_session, &window, n, h, f, i % n, 1 + i % dims.horizon);
+        assert_bitwise(&got, &want, &format!("post-swap request {i}"));
+    }
+
+    // Observes still apply after the swap: a post-observe sweep over
+    // all sensors is bitwise v2.
+    let fr = frame(7, n, f);
+    let ack = traffic.post("/observe", &observe_body(&fr)).unwrap();
+    assert_eq!(ack.status, 200);
+    let mut new_window = window.clone();
+    apply_frame(&mut new_window, &fr, n, h, f);
+    for sensor in 0..n {
+        let resp = traffic.get(&format!("/forecast?sensor={sensor}&horizon=2")).unwrap();
+        assert_eq!(resp.status, 200);
+        assert_eq!(response_version(&resp.body), 2);
+        let got = stwa_serve::proto::parse_forecast_values(&resp.body).unwrap();
+        let want = direct_eval(&v2_session, &new_window, n, h, f, sensor, 2);
+        assert_bitwise(&got, &want, &format!("post-observe sensor {sensor}"));
+    }
+
+    // Zero drops, zero swap errors, no client aborts; the in-flight
+    // stats request is the only parsed-but-unanswered one.
+    let stats = traffic.get("/stats").unwrap();
+    assert_eq!(stat(&stats.body, "swaps"), 1.0);
+    assert_eq!(stat(&stats.body, "swap_errors"), 0.0);
+    assert_eq!(stat(&stats.body, "client_aborts"), 0.0);
+    assert_eq!(
+        stat(&stats.body, "requests"),
+        stat(&stats.body, "responses") + 1.0,
+        "stats: {}",
+        String::from_utf8_lossy(&stats.body)
+    );
+
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn failed_hot_swap_keeps_serving_the_old_version_bitwise() {
+    let (root, registry, cfg) = registry_with_v1("failed_swap", 101);
+    let server = Server::start(cfg, || Ok(model(1))).unwrap();
+    let dims = server.dims();
+    let (n, h, f) = (dims.sensors, dims.history, dims.features);
+    assert_eq!(server.version(), 1);
+    let mut client = Client::connect(server.addr()).unwrap();
+    let v1_session = InferSession::new(&model(101)).unwrap();
+
+    let mut window = vec![0.0f32; n * h * f];
+    let resp = client.get("/forecast?sensor=2&horizon=3").unwrap();
+    assert_eq!(resp.status, 200);
+    let got = stwa_serve::proto::parse_forecast_values(&resp.body).unwrap();
+    assert_bitwise(&got, &direct_eval(&v1_session, &window, n, h, f, 2, 3), "v1 before");
+
+    // v2 comes from a wider model: its tensors cannot load into the
+    // serving model, so the freeze fails and the swap must not land.
+    let mut wide = StwaConfig::st_wa(N, H, U);
+    wide.d *= 2;
+    let wide_model = StwaModel::new(wide, &mut StdRng::seed_from_u64(202)).unwrap();
+    registry
+        .publish("ST-WA", &TrainCheckpoint::params_only("ST-WA", wide_model.store()))
+        .unwrap();
+    let swap = client.post("/admin/swap", b"").unwrap();
+    assert_eq!(swap.status, 200);
+    let swap_text = String::from_utf8_lossy(&swap.body).to_string();
+    assert!(swap_text.contains("\"swapped\":false"), "{swap_text}");
+    assert_eq!(response_version(&swap.body), 1);
+    assert_eq!(server.version(), 1, "a failed swap must not change the version");
+    assert_eq!(server.swaps(), 0);
+    let stats = client.get("/stats").unwrap();
+    assert_eq!(stat(&stats.body, "swap_errors"), 1.0);
+    assert_eq!(stat(&stats.body, "swaps"), 0.0);
+
+    // Still v1, bitwise, before and after the next observe — the
+    // failed load must not leave half-loaded weights behind.
+    for sensor in 0..n {
+        let resp = client.get(&format!("/forecast?sensor={sensor}&horizon=3")).unwrap();
+        assert_eq!(resp.status, 200);
+        assert_eq!(response_version(&resp.body), 1);
+        let got = stwa_serve::proto::parse_forecast_values(&resp.body).unwrap();
+        let want = direct_eval(&v1_session, &window, n, h, f, sensor, 3);
+        assert_bitwise(&got, &want, &format!("v1 after failed swap, sensor {sensor}"));
+    }
+    let fr = frame(5, n, f);
+    let ack = client.post("/observe", &observe_body(&fr)).unwrap();
+    assert_eq!(ack.status, 200);
+    apply_frame(&mut window, &fr, n, h, f);
+    for sensor in 0..n {
+        let resp = client.get(&format!("/forecast?sensor={sensor}&horizon=3")).unwrap();
+        assert_eq!(resp.status, 200);
+        assert_eq!(response_version(&resp.body), 1);
+        let got = stwa_serve::proto::parse_forecast_values(&resp.body).unwrap();
+        let want = direct_eval(&v1_session, &window, n, h, f, sensor, 3);
+        assert_bitwise(&got, &want, &format!("v1 after failed swap + observe, sensor {sensor}"));
+    }
+
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&root);
 }

@@ -8,8 +8,6 @@
 verify:
     cargo build --release
     cargo test -q
-    cargo test -q -p stwa-ckpt --test corruption
-    cargo test -q -p stwa-core --test resume
     cargo clippy --workspace --all-targets -- -D warnings
     cargo run --release -p stwa-bench --bin bench_kernels -- --check BENCH_kernels.json
     cargo run --release -p stwa-bench --bin bench_train_step -- --check BENCH_train_step.json
@@ -67,13 +65,12 @@ bench-attention:
 
 # Network-serving load benchmark: a million pipelined HTTP requests
 # against the stwa-serve front-end with a registry hot swap at the
-# halfway mark, then the replica-scaling section (miss throughput at
-# 1/2/4 model replicas plus a coordinated swap under full-pool load).
+# halfway mark, then the miss-window section (pipelined observe +
+# forecast pairs with a mid-run swap, one eval per window).
 # Refreshes BENCH_serve.json and the stwa-observe run manifest;
 # enforces zero errors, zero dropped requests, bitwise agreement with
 # direct eval on every sampled response, the >=10x cached-hit p50
-# floor, and the host-adaptive replica-scaling floor (>=2.5x at 4
-# replicas on >=4-core hosts, pathology guard elsewhere).
+# floor, and exactly one model eval per observed window.
 bench-serve:
     cargo run --release -p stwa-bench --bin bench_serve -- --out BENCH_serve.json
 
