@@ -23,10 +23,9 @@ pub enum ActKind {
 
 impl ActKind {
     /// The scalar forward function — exactly the expression the unfused
-    /// elementwise ops apply. Public so tape-free forwards (the
-    /// inference path) can reuse the identical scalar expression.
+    /// elementwise ops apply.
     #[inline]
-    pub fn apply(self, x: f32) -> f32 {
+    pub(crate) fn apply(self, x: f32) -> f32 {
         match self {
             ActKind::Identity => x,
             ActKind::Relu => x.max(0.0),

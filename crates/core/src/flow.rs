@@ -114,49 +114,38 @@ impl FlowStack {
         Ok((current, logdet_sum.expect("depth >= 1")))
     }
 
-    /// Tape-free transform: the same `z'` arithmetic as
-    /// [`FlowStack::forward`] on plain tensors, with the log-determinant
-    /// terms skipped — they feed only the KL, which eval never computes,
-    /// and their arithmetic never touches `current`, so dropping them
-    /// leaves the transformed latent bitwise identical.
-    pub fn transform_nograd(&self, z: &Tensor) -> Result<Tensor> {
-        let shape = z.shape();
-        let rank = shape.len();
-        if rank < 2 || shape[rank - 1] != self.k {
-            return Err(TensorError::Invalid(format!(
-                "FlowStack: expected rank >= 2 with last dim {}, got {shape:?}",
-                self.k
-            )));
-        }
-        let mut current = z.clone();
-        for layer in &self.layers {
-            let (u, w_col, b) = layer.constrained_nograd(self.k)?;
-            let pre = linalg::matmul(&current, &w_col)?.add(&b)?;
-            let t = pre.tanh();
-            let step = t.mul(&u)?;
-            current = current.add(&step)?;
-        }
-        Ok(current)
-    }
-
-    /// Per-layer frozen flow constants for the inference engine: the
-    /// constrained `u_hat` (`[k]`), the column weight (`[k, 1]`), and the
-    /// bias (`[1]`). These depend only on parameters, so a frozen session
-    /// computes them once; per request only `matmul / add / tanh / mul /
-    /// add` remain.
-    pub fn frozen_layers_nograd(&self) -> Result<Vec<(Tensor, Tensor, Tensor)>> {
+    /// Per-layer constants for the frozen executor: the constrained
+    /// `u_hat` (`[k]`), the column weight (`[k, 1]`), and the bias
+    /// (`[1]`). These depend only on parameters, so a freeze computes
+    /// them once and [`apply_planar`] runs the per-request remainder.
+    pub fn constrained_layers(&self) -> Result<Vec<(Tensor, Tensor, Tensor)>> {
         self.layers
             .iter()
-            .map(|layer| layer.constrained_nograd(self.k))
+            .map(|layer| layer.constrained(self.k))
             .collect()
     }
+}
+
+/// `z' = z + u_hat * tanh(z w + b)` per layer on plain tensors, from
+/// [`FlowStack::constrained_layers`]: the same `z'` arithmetic as
+/// [`FlowStack::forward`], with the log-determinant terms skipped —
+/// they feed only the KL, which eval never computes, and never touch
+/// the transformed latent, so it stays bitwise identical.
+pub fn apply_planar(layers: &[(Tensor, Tensor, Tensor)], z: &Tensor) -> Result<Tensor> {
+    let mut current = z.clone();
+    for (u, w_col, b) in layers {
+        let pre = linalg::matmul_lean(&current, w_col)?.add(b)?;
+        let step = pre.tanh().mul(u)?;
+        current = current.add(&step)?;
+    }
+    Ok(current)
 }
 
 impl PlanarLayer {
     /// The invertibility-constrained `u_hat`, plus `w` as a `[k, 1]`
     /// column and the bias — the identical tensor expressions the graph
     /// path evaluates, so downstream arithmetic stays bitwise equal.
-    fn constrained_nograd(&self, k: usize) -> Result<(Tensor, Tensor, Tensor)> {
+    fn constrained(&self, k: usize) -> Result<(Tensor, Tensor, Tensor)> {
         let u_raw = self.u.value(); // [k]
         let w = self.w.value(); // [k]
         let b = self.b.value(); // [1]
@@ -291,7 +280,7 @@ mod tests {
         let z = Tensor::randn(&[2, 5, 6], &mut rng);
         let g = Graph::new();
         let (graph_out, _) = flow.forward(&g, &g.constant(z.clone())).unwrap();
-        let nograd_out = flow.transform_nograd(&z).unwrap();
+        let nograd_out = apply_planar(&flow.constrained_layers().unwrap(), &z).unwrap();
         assert_eq!(graph_out.value().data(), nograd_out.data());
     }
 

@@ -16,13 +16,15 @@
 //! - all static dense weights (shared K/V, fusion, gate, SCA embedding,
 //!   skip, predictor) are packed into GEMM panel layout.
 //!
-//! The frozen forward mirrors `StwaModel::forward_nograd` — which in
-//! turn mirrors the graph path in eval mode — kernel-for-kernel, so its
-//! predictions are bitwise identical to the training-time evaluation.
+//! This is the repository's one no-grad ST-WA executor: trainer eval
+//! (through `StwaModel`'s eval hook) and serving both run it. At
+//! [`Precision::F32`] it follows the graph path in eval mode
+//! kernel-for-kernel, so its predictions are bitwise identical to the
+//! training graph's; the graph stays the oracle it is tested against.
 
+use crate::flow::apply_planar;
 use crate::packed::{PackedDense, PackedMlp, PackedWeight};
-use stwa_core::generator::GeneratedTensors;
-use stwa_core::{AggregatorKind, ForecastModel, StGenerator, StwaModel};
+use crate::{AggregatorKind, ForecastModel, StGenerator, StwaModel};
 use stwa_nn::StoreVersion;
 use stwa_tensor::quant::Precision;
 use stwa_tensor::{linalg, mathfn, memory, Result, Tensor, TensorError};
@@ -63,6 +65,15 @@ struct FrozenSca {
     /// Neighbor lists when the training model ran in sparse mode; the
     /// frozen path must mix over the same support to stay bitwise.
     graph: Option<std::sync::Arc<stwa_tensor::SensorGraph>>,
+}
+
+/// Decoded per-layer parameters: K/V projections `[B, N, F_l, d]` and
+/// the optional generated sensor-correlation transforms `[B, N, d, d]`
+/// (`B = 1` for the freeze-time S-WA cache, broadcast over any batch).
+struct GeneratedTensors {
+    k_proj: Tensor,
+    v_proj: Tensor,
+    sca_transforms: Option<(Tensor, Tensor)>,
 }
 
 /// The frozen parameter-generation path.
@@ -259,7 +270,9 @@ impl FrozenStwa {
         match gen.temporal() {
             // Spatial-only: `Theta` is input-independent, so decode the
             // per-sensor parameters once, with a singleton batch axis
-            // that broadcasts against any request batch.
+            // that broadcasts against any request batch. The decode runs
+            // on f32 panels at every precision: the cache is request-scale
+            // data, not a frozen weight.
             None => {
                 let spatial = gen.spatial().ok_or_else(|| {
                     TensorError::Invalid("freeze: generator with no latents".into())
@@ -269,26 +282,20 @@ impl FrozenStwa {
                 let theta0 = means.unsqueeze(0)?.broadcast_to(&[1, n, k])?;
                 let theta = match gen.flow() {
                     None => theta0,
-                    Some(flow) => flow.transform_nograd(&theta0)?,
+                    Some(flow) => apply_planar(&flow.constrained_layers()?, &theta0)?,
+                };
+                let decode = |mlp, f, d| -> Result<(Tensor, Tensor)> {
+                    let flat = PackedMlp::from_mlp(mlp)?.forward(&theta)?; // [1, N, 2*f*d]
+                    split_kv(&flat, 1, n, f, d)
                 };
                 let mut cached = Vec::with_capacity(gen.decoders().len());
                 for (l, (dec, &(fl, d))) in
                     gen.decoders().iter().zip(gen.layer_dims()).enumerate()
                 {
-                    let flat = dec.forward_nograd(&theta)?; // [1, N, 2*fl*d]
-                    let kv = flat.reshape(&[1, n, 2, fl, d])?;
-                    let k_proj = kv.narrow(2, 0, 1)?.squeeze(2)?;
-                    let v_proj = kv.narrow(2, 1, 1)?.squeeze(2)?;
+                    let (k_proj, v_proj) = decode(dec.mlp(), fl, d)?;
                     let sca_transforms = match gen.sca_decoders() {
                         None => None,
-                        Some(decs) => {
-                            let flat = decs[l].forward_nograd(&theta)?;
-                            let pair = flat.reshape(&[1, n, 2, d, d])?;
-                            Some((
-                                pair.narrow(2, 0, 1)?.squeeze(2)?,
-                                pair.narrow(2, 1, 1)?.squeeze(2)?,
-                            ))
-                        }
+                        Some(decs) => Some(decode(decs[l].mlp(), d, d)?),
                     };
                     cached.push(GeneratedTensors {
                         k_proj,
@@ -306,7 +313,7 @@ impl FrozenStwa {
                 enc_f: temporal.f(),
                 flow: gen
                     .flow()
-                    .map(|f| f.frozen_layers_nograd())
+                    .map(|f| f.constrained_layers())
                     .transpose()?,
                 decoders: gen
                     .decoders()
@@ -486,9 +493,10 @@ impl FrozenStwa {
 }
 
 impl DynamicGenerator {
-    /// The per-request remainder of `StGenerator::generate_nograd`:
-    /// encode `E_psi` means, combine with the cached spatial means,
-    /// apply the flow with precomputed constrained parameters, decode.
+    /// The per-request remainder of `StGenerator::generate_with_mode`
+    /// in deterministic mode: encode the `E_psi` means (the dead logvar
+    /// head is skipped), combine with the cached spatial means, apply
+    /// the flow with precomputed constrained parameters, decode.
     fn generate(&self, x: &Tensor, b: usize) -> Result<Vec<GeneratedTensors>> {
         let _span = stwa_observe::span!("generator");
         let n = x.shape()[1];
@@ -504,16 +512,7 @@ impl DynamicGenerator {
         };
         let theta = match &self.flow {
             None => theta0,
-            Some(layers) => {
-                let mut current = theta0;
-                for (u, w_col, bias) in layers {
-                    let pre = linalg::matmul_lean(&current, w_col)?.add(bias)?;
-                    let t = pre.tanh();
-                    let step = t.mul(u)?;
-                    current = current.add(&step)?;
-                }
-                current
-            }
+            Some(layers) => apply_planar(layers, &theta0)?,
         };
 
         let decoder_span = stwa_observe::span!("decoder");
@@ -540,7 +539,7 @@ impl DynamicGenerator {
 }
 
 impl FrozenLayer {
-    /// Mirror of `WindowAttentionLayer::forward_nograd` with packed
+    /// [`crate::WindowAttentionLayer::forward`] in eval mode with packed
     /// weights and the proxy broadcasts served from the batch plan.
     fn forward(
         &self,
@@ -700,8 +699,8 @@ fn project_kv(x_win: &Tensor, k_proj: &Tensor, v_proj: &Tensor) -> Result<(Tenso
 }
 
 impl FrozenSca {
-    /// Mirror of `SensorCorrelationAttention::forward_nograd` with
-    /// packed shared transforms.
+    /// [`crate::SensorCorrelationAttention::forward`] with packed shared
+    /// transforms.
     fn forward(&self, h: &Tensor) -> Result<Tensor> {
         let (Some(theta1), Some(theta2)) = (&self.theta1, &self.theta2) else {
             return Err(TensorError::Invalid(
@@ -714,7 +713,7 @@ impl FrozenSca {
         self.attend(&q, &k, h)
     }
 
-    /// Mirror of `SensorCorrelationAttention::forward_with_nograd`: the
+    /// [`crate::SensorCorrelationAttention::forward_with`]: the
     /// per-sensor Q/K transforms run as one fused microkernel walk
     /// instead of two broadcast matmul dispatches.
     fn forward_with(&self, h: &Tensor, t1: &Tensor, t2: &Tensor) -> Result<Tensor> {
@@ -761,11 +760,20 @@ impl FrozenSca {
     }
 }
 
-/// [`scaled_dot_attention_lean`] with the window's K/V block read
-/// straight out of the all-window projection tensors `[B, N, W, s, d]`
-/// — the graph path narrows and squeezes a `[B, N, s, d]` copy per
-/// window first, which is pure data movement (bitwise, slicing is the
-/// same bits).
+/// Multi-head proxy attention for window `wi` as one fused walk with no
+/// intermediate tensors: each head's `dh`-wide column block of `q` and
+/// of the window's K/V is read in place, straight out of the all-window
+/// projection tensors `[B, N, W, s, d]`, and the context is written
+/// into the merged `[B, N, p, d]` layout. The graph path
+/// ([`stwa_nn::layers::attention::scaled_dot_attention`]) narrows a
+/// per-window copy, splits and re-merges heads through permutes, and
+/// dispatches five kernels on score matrices of a few elements.
+///
+/// Bitwise contract: every score is the ascending-`c` dot product the
+/// NT kernel computes, scaled after the full sum like `mul_scalar`; the
+/// softmax row is the max / `exp_f32(x - m)` / ascending-sum / divide
+/// chain of `softmax_lastdim`; the context accumulates ascending `j`
+/// like the NN kernels.
 fn windowed_attention_lean(
     q: &Tensor, // [B, N, p, d]
     keys: &Tensor,
@@ -994,3 +1002,59 @@ fn fused_fusion(
     Tensor::from_vec(out, &[b, n, p, d])
 }
 
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    use stwa_autograd::Graph;
+    use stwa_nn::layers::attention::scaled_dot_attention;
+
+    #[test]
+    fn windowed_attention_bitwise_matches_graph_attention() {
+        let mut rng = StdRng::seed_from_u64(13);
+        // (b, n, p, w, s, d, heads): serving-like p=1 windows, several
+        // proxies against long windows, one head, a single window.
+        let cases = [
+            (2, 32, 1, 4, 3, 16, 4),
+            (2, 3, 5, 2, 9, 8, 4),
+            (1, 32, 1, 3, 2, 16, 4),
+            (4, 7, 2, 1, 11, 12, 3),
+            (1, 1, 6, 2, 9, 6, 1),
+        ];
+        for (b, n, p, w, s, d, heads) in cases {
+            let q = Tensor::randn(&[b, n, p, d], &mut rng).mul_scalar(3.0);
+            let keys = Tensor::randn(&[b, n, w, s, d], &mut rng).mul_scalar(3.0);
+            let values = Tensor::randn(&[b, n, w, s, d], &mut rng);
+            for wi in 0..w {
+                let window = |t: &Tensor| t.narrow(2, wi, 1).unwrap().squeeze(2).unwrap();
+                let g = Graph::new();
+                let want = scaled_dot_attention(
+                    &g.constant(q.clone()),
+                    &g.constant(window(&keys)),
+                    &g.constant(window(&values)),
+                    heads,
+                )
+                .unwrap()
+                .value();
+                let got = windowed_attention_lean(&q, &keys, &values, wi, heads).unwrap();
+                assert_eq!(want.shape(), got.shape());
+                let case = (b, n, p, w, s, d, heads);
+                assert_eq!(want.data(), got.data(), "bits for case {case:?}, window {wi}");
+            }
+        }
+    }
+
+    #[test]
+    fn windowed_attention_rejects_bad_geometry() {
+        let mut rng = StdRng::seed_from_u64(14);
+        let q = Tensor::randn(&[2, 3, 1, 8], &mut rng);
+        let keys = Tensor::randn(&[2, 3, 2, 4, 8], &mut rng);
+        let other_batch = Tensor::randn(&[3, 3, 2, 4, 8], &mut rng);
+        let short = Tensor::randn(&[2, 3, 2, 5, 8], &mut rng);
+        assert!(windowed_attention_lean(&q, &other_batch, &other_batch, 0, 2).is_err());
+        assert!(windowed_attention_lean(&q, &keys, &short, 0, 2).is_err());
+        assert!(windowed_attention_lean(&q, &keys, &keys, 2, 2).is_err());
+        assert!(windowed_attention_lean(&q, &keys, &keys, 0, 3).is_err());
+    }
+}

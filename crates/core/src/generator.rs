@@ -18,7 +18,7 @@ use rand::Rng;
 use stwa_autograd::{Graph, Var};
 use stwa_nn::layers::{Activation, Mlp};
 use stwa_nn::ParamStore;
-use stwa_tensor::{Result, Tensor, TensorError};
+use stwa_tensor::{Result, TensorError};
 
 /// The shared decoder `D_omega` (Eq. 8): a small MLP from the latent
 /// space to a flat parameter vector, reshaped by the caller.
@@ -82,18 +82,6 @@ impl ParamDecoder {
         self.mlp.forward(graph, theta)
     }
 
-    /// Tape-free [`ParamDecoder::forward`].
-    pub fn forward_nograd(&self, theta: &Tensor) -> Result<Tensor> {
-        if theta.shape().last() != Some(&self.k) {
-            return Err(TensorError::Invalid(format!(
-                "ParamDecoder: expected latent dim {}, got {:?}",
-                self.k,
-                theta.shape()
-            )));
-        }
-        self.mlp.forward_nograd(theta)
-    }
-
     /// The decoder MLP — read when packing frozen inference weights.
     pub fn mlp(&self) -> &Mlp {
         &self.mlp
@@ -116,13 +104,6 @@ pub struct GeneratedParams {
     /// Eq. 20's `D_KL[Theta_t || N(0, I)]`, present when the latents are
     /// stochastic.
     pub kl: Option<Var>,
-}
-
-/// Tape-free twin of [`GeneratedProjections`]: plain tensors, no graph.
-pub struct GeneratedTensors {
-    pub k_proj: Tensor,
-    pub v_proj: Tensor,
-    pub sca_transforms: Option<(Tensor, Tensor)>,
 }
 
 /// Configuration of which latent pieces are active — the paper's
@@ -363,77 +344,6 @@ impl StGenerator {
         Ok(GeneratedParams { layers, kl })
     }
 
-    /// Tape-free eval-mode generation: latents collapse to their means
-    /// (exactly what the graph path does with `Deterministic`), the flow
-    /// transform is applied without its log-determinant bookkeeping, and
-    /// the dead logvar head is skipped. Decoding runs the same kernels
-    /// in the same order as the graph path, so every projection is
-    /// bitwise identical to `generate_with_mode(.., Deterministic)`.
-    pub fn generate_nograd(&self, x: &Tensor) -> Result<Vec<GeneratedTensors>> {
-        let shape = x.shape();
-        let (b, n) = (shape[0], shape[1]);
-        if n != self.n {
-            return Err(TensorError::Invalid(format!(
-                "StGenerator: built for N={}, got N={n}",
-                self.n
-            )));
-        }
-        let _span = stwa_observe::span!("generator");
-
-        let latent_span = stwa_observe::span!("latent");
-        let s_mean: Option<Tensor> = self.spatial.as_ref().map(|s| s.means());
-        let t_mean: Option<Tensor> = match &self.temporal {
-            Some(t) => Some(t.encode_mean_nograd(x)?),
-            None => None,
-        };
-        drop(latent_span);
-
-        let theta0 = match (&s_mean, &t_mean) {
-            (Some(s), Some(t)) => s.unsqueeze(0)?.broadcast_to(t.shape())?.add(t)?,
-            (Some(s), None) => {
-                let k = s.shape()[1];
-                s.unsqueeze(0)?.broadcast_to(&[b, n, k])?
-            }
-            (None, Some(t)) => t.clone(),
-            (None, None) => {
-                return Err(TensorError::Invalid(
-                    "combine_theta: need at least one latent".into(),
-                ))
-            }
-        };
-        let theta = match &self.flow {
-            None => theta0,
-            Some(flow) => flow.transform_nograd(&theta0)?,
-        };
-
-        let decoder_span = stwa_observe::span!("decoder");
-        let mut layers = Vec::with_capacity(self.decoders.len());
-        for (l, (dec, &(fl, d))) in self.decoders.iter().zip(&self.layer_dims).enumerate() {
-            let flat = dec.forward_nograd(&theta)?; // [B, N, 2*fl*d]
-            let kv = flat.reshape(&[b, self.n, 2, fl, d])?;
-            let k_proj = kv.narrow(2, 0, 1)?.squeeze(2)?;
-            let v_proj = kv.narrow(2, 1, 1)?.squeeze(2)?;
-            let sca_transforms = match &self.sca_decoders {
-                None => None,
-                Some(decs) => {
-                    let flat = decs[l].forward_nograd(&theta)?; // [B, N, 2*d*d]
-                    let pair = flat.reshape(&[b, self.n, 2, d, d])?;
-                    Some((
-                        pair.narrow(2, 0, 1)?.squeeze(2)?,
-                        pair.narrow(2, 1, 1)?.squeeze(2)?,
-                    ))
-                }
-            };
-            layers.push(GeneratedTensors {
-                k_proj,
-                v_proj,
-                sca_transforms,
-            });
-        }
-        drop(decoder_span);
-        Ok(layers)
-    }
-
     /// The spatial latent, when spatially aware.
     pub fn spatial(&self) -> Option<&SpatialLatent> {
         self.spatial.as_ref()
@@ -662,33 +572,6 @@ mod tests {
         // Spatial mu/logvar are the first two registered params.
         assert!(store.params()[0].grad().is_some());
         assert!(store.params()[1].grad().is_some());
-    }
-
-    #[test]
-    fn generate_nograd_bitwise_matches_deterministic_graph_path() {
-        for flags in [
-            AwarenessFlags::st_aware(),
-            AwarenessFlags::s_aware(),
-            AwarenessFlags::t_aware(),
-        ] {
-            let (_s, gen, mut rng) = mk(flags, LatentMode::Stochastic);
-            let x = Tensor::randn(&[3, 4, 6, 1], &mut rng);
-            let g = Graph::new();
-            let graph_out = gen
-                .generate_with_mode(
-                    &g,
-                    &g.constant(x.clone()),
-                    &mut rng,
-                    LatentMode::Deterministic,
-                )
-                .unwrap();
-            let nograd_out = gen.generate_nograd(&x).unwrap();
-            assert_eq!(graph_out.layers.len(), nograd_out.len());
-            for (gl, nl) in graph_out.layers.iter().zip(nograd_out.iter()) {
-                assert_eq!(gl.k_proj.value().data(), nl.k_proj.data());
-                assert_eq!(gl.v_proj.value().data(), nl.v_proj.data());
-            }
-        }
     }
 
     #[test]

@@ -23,25 +23,40 @@
 //! - [`trainer`] — end-to-end optimization (Eq. 20: Huber + alpha * KL),
 //!   early stopping, epoch timing, and the [`ForecastModel`] trait that
 //!   the baseline crate also implements so every experiment binary can
-//!   train any model through one code path.
+//!   train any model through one code path;
+//! - [`frozen`], [`packed`], [`session`] — the frozen executor: the
+//!   eval-mode forward with latents at their posterior means, weights
+//!   packed into GEMM panels, and no autograd tape. It is the only
+//!   no-grad executor: [`StwaModel`]'s eval hook runs it for
+//!   [`Trainer::evaluate`]/[`Trainer::predict`], and `stwa-infer` serves
+//!   it. The autograd graph stays the training path and the oracle the
+//!   frozen path is pinned to bitwise.
 
 pub mod flow;
+pub mod frozen;
 pub mod generator;
 pub mod latent;
 pub mod model;
+pub mod packed;
 pub mod sensor_attention;
+pub mod session;
 pub mod sharded;
 pub mod trainer;
 pub mod window_attention;
 
 pub use flow::{flow_kl, FlowStack};
+pub use frozen::{BatchPlan, FrozenStwa};
 pub use generator::{
     combine_theta, combined_kl, combined_moments, AwarenessFlags, GeneratedProjections,
-    GeneratedTensors, ParamDecoder, StGenerator,
+    ParamDecoder, StGenerator,
 };
 pub use latent::{GaussianSample, LatentMode, SpatialLatent, TemporalEncoder};
 pub use model::{AggregatorKind, StwaConfig, StwaModel};
+pub use packed::{PackedDense, PackedMlp, PackedWeight};
 pub use sensor_attention::{SensorCorrelationAttention, SparsityMode};
+pub use session::InferSession;
 pub use sharded::{fold_shard_grads, shard_seed, ShardEngine};
-pub use trainer::{ForecastModel, ForwardOutput, ReplicaFactory, TrainConfig, TrainReport, Trainer};
+pub use trainer::{
+    Evaluator, ForecastModel, ForwardOutput, ReplicaFactory, TrainConfig, TrainReport, Trainer,
+};
 pub use window_attention::WindowAttentionLayer;

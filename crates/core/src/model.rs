@@ -4,7 +4,8 @@
 use crate::generator::{AwarenessFlags, StGenerator};
 use crate::latent::LatentMode;
 use crate::sensor_attention::SparsityMode;
-use crate::trainer::{ForecastModel, ForwardOutput, ReplicaFactory};
+use crate::session::InferSession;
+use crate::trainer::{Evaluator, ForecastModel, ForwardOutput, ReplicaFactory};
 pub use crate::window_attention::AggregatorKind;
 use crate::window_attention::WindowAttentionLayer;
 use rand::rngs::StdRng;
@@ -12,7 +13,7 @@ use rand::{Rng, SeedableRng};
 use stwa_autograd::{Graph, Var};
 use stwa_nn::layers::{Activation, Linear, Mlp};
 use stwa_nn::ParamStore;
-use stwa_tensor::{Result, Tensor, TensorError};
+use stwa_tensor::{Result, TensorError};
 
 /// Configuration of an [`StwaModel`].
 ///
@@ -379,60 +380,6 @@ impl StwaModel {
         Ok(Some(flat.value().as_ref().clone()))
     }
 
-    /// Tape-free eval-mode forward: the same kernel sequence the graph
-    /// path runs with `training == false` (latents collapsed to their
-    /// means), but without allocating any autograd nodes. Bitwise
-    /// identical to the graph path by construction — every op delegates
-    /// to the same tensor kernels in the same order.
-    pub fn forward_nograd(&self, x: &Tensor) -> Result<Tensor> {
-        let shape = x.shape();
-        if shape.len() != 4
-            || shape[1] != self.config.n
-            || shape[2] != self.config.h
-            || shape[3] != self.config.f_in
-        {
-            return Err(TensorError::Invalid(format!(
-                "StwaModel: expected [B, {}, {}, {}], got {shape:?}",
-                self.config.n, self.config.h, self.config.f_in
-            )));
-        }
-        let b = shape[0];
-        let _span = stwa_observe::span!("forward");
-
-        let generated = match &self.generator {
-            Some(gen) => Some(gen.generate_nograd(x)?),
-            None => None,
-        };
-
-        let mut h = x.clone();
-        let mut skip_sum: Option<Tensor> = None;
-        for (l, layer) in self.layers.iter().enumerate() {
-            let layer_span = stwa_observe::span!("wa_layer{}", l);
-            let proj = generated.as_ref().map(|g| &g[l]);
-            let out = layer.forward_nograd(&h, proj)?; // [B, N, W, d]
-            let w = layer.num_windows();
-            let flat = out.reshape(&[b, self.config.n, w * self.config.d])?;
-            let skip = self.skips[l].forward_nograd(&flat)?; // [B, N, d]
-            skip_sum = Some(match skip_sum {
-                None => skip,
-                Some(acc) => acc.add(&skip)?,
-            });
-            h = out;
-            drop(layer_span);
-        }
-        let o = skip_sum.expect("at least one layer");
-
-        let predictor_span = stwa_observe::span!("predictor");
-        let pred = self.predictor.forward_nograd(&o)?.reshape(&[
-            b,
-            self.config.n,
-            self.config.u,
-            self.config.f_in,
-        ])?;
-        drop(predictor_span);
-        Ok(pred)
-    }
-
     /// The parameter generator, when the model is ST/S/T-aware.
     pub fn generator(&self) -> Option<&StGenerator> {
         self.generator.as_ref()
@@ -563,8 +510,12 @@ impl ForecastModel for StwaModel {
         Ok(ForwardOutput { pred, regularizer })
     }
 
-    fn forward_eval(&self, x: &Tensor) -> Result<Tensor> {
-        self.forward_nograd(x)
+    /// Eval runs the frozen executor: one freeze per pass, then one
+    /// [`InferSession::run`] per batch — bitwise equal to the graph
+    /// path with `training == false`.
+    fn evaluator(&self) -> Result<Evaluator<'_>> {
+        let session = InferSession::new(self)?;
+        Ok(Box::new(move |x| session.run(x)))
     }
 }
 
@@ -761,36 +712,34 @@ mod tests {
 
     #[test]
     fn nograd_forward_bitwise_matches_graph_eval_path() {
-        // Every variant: the tape-free forward must agree bit-for-bit
-        // with the graph path in eval mode (training = false).
-        let configs = [
-            StwaConfig::st_wa(3, 12, 4),
-            StwaConfig::s_wa(3, 12, 4),
-            StwaConfig::wa(3, 12, 4),
-            StwaConfig::deterministic(3, 12, 4),
-            StwaConfig::st_wa(3, 12, 4).with_mean_aggregator(),
-            StwaConfig::st_wa(3, 12, 4).with_flow(2),
-            StwaConfig::st_wa(3, 12, 4).with_generated_sca(),
-            StwaConfig {
-                sensor_attention: false,
-                ..StwaConfig::st_wa(3, 12, 4)
-            },
-        ];
-        for (i, cfg) in configs.into_iter().enumerate() {
+        // The eval hook (the frozen executor) agrees bit-for-bit with
+        // the graph path in eval mode, for a dynamic (ST-WA) and a
+        // statically decoded (S-WA) generator, and one hook serves
+        // batches of any size for the whole pass. The per-variant sweep
+        // is `trainer::tests::evaluate_uses_nograd_path_with_bitwise_identical_metrics`.
+        for (i, cfg) in [StwaConfig::st_wa(3, 12, 4), StwaConfig::s_wa(3, 12, 4)]
+            .into_iter()
+            .enumerate()
+        {
             let mut rng = StdRng::seed_from_u64(40 + i as u64);
             let model = StwaModel::new(cfg, &mut rng).unwrap();
-            let x = Tensor::randn(&[2, 3, 12, 1], &mut rng);
-            let g = Graph::new();
-            let graph_out = model
-                .forward(&g, &g.constant(x.clone()), &mut rng, false)
-                .unwrap();
-            let nograd_out = model.forward_nograd(&x).unwrap();
-            assert_eq!(graph_out.pred.shape(), nograd_out.shape());
-            assert_eq!(
-                graph_out.pred.value().data(),
-                nograd_out.data(),
-                "variant {i} diverged from the graph eval path"
-            );
+            let eval = model.evaluator().unwrap();
+            for b in [2usize, 1] {
+                let x = Tensor::randn(&[b, 3, 12, 1], &mut rng);
+                let g = Graph::new();
+                let graph_out = model
+                    .forward(&g, &g.constant(x.clone()), &mut rng, false)
+                    .unwrap();
+                let nograd_out = eval(&x).unwrap();
+                assert_eq!(graph_out.pred.shape(), nograd_out.shape());
+                assert_eq!(
+                    graph_out.pred.value().data(),
+                    nograd_out.data(),
+                    "variant {i}, batch {b} diverged from the graph eval path"
+                );
+            }
+            // Wrong input geometry is a typed error, not a panic.
+            assert!(eval(&Tensor::zeros(&[1, 4, 12, 1])).is_err());
         }
     }
 

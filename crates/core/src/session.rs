@@ -5,7 +5,7 @@ use crate::frozen::{BatchPlan, FrozenStwa};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
-use stwa_core::StwaModel;
+use crate::StwaModel;
 use stwa_tensor::quant::Precision;
 use stwa_tensor::{Result, Tensor, TensorError};
 
@@ -30,7 +30,7 @@ impl InferSession {
     /// Freeze `model` at the given panel precision and open a session.
     /// The plan arena is precision-agnostic (plans hold f32 broadcast
     /// buffers at every precision), so everything downstream — plan
-    /// recording, staleness guard, [`crate::InferQueue`] micro-batching
+    /// recording, staleness guard, `stwa_infer::InferQueue` micro-batching
     /// — serves quantized snapshots unchanged.
     pub fn new_at(model: &StwaModel, precision: Precision) -> Result<InferSession> {
         Ok(InferSession::from_frozen(FrozenStwa::freeze_at(

@@ -51,6 +51,10 @@ impl ForwardOutput {
 /// original, i.e. be built from the same config.
 pub type ReplicaFactory = Box<dyn FnOnce() -> Result<Box<dyn ForecastModel>> + Send>;
 
+/// A per-pass eval executor from [`ForecastModel::evaluator`]: normalized
+/// input batch in, normalized predictions out.
+pub type Evaluator<'a> = Box<dyn Fn(&Tensor) -> Result<Tensor> + 'a>;
+
 /// Anything the [`Trainer`] can optimize.
 pub trait ForecastModel {
     /// Display name for tables.
@@ -71,22 +75,26 @@ pub trait ForecastModel {
         training: bool,
     ) -> Result<ForwardOutput>;
 
-    /// Eval-mode forward on a raw normalized tensor, returning the
-    /// normalized predictions `[B, N, U, F]`.
+    /// The eval-mode forward for one whole `predict`/`evaluate` pass:
+    /// called once per pass, and the returned closure maps each
+    /// normalized batch `[B, N, H, F]` to normalized predictions
+    /// `[B, N, U, F]`.
     ///
-    /// The default implementation runs the graph path with
-    /// `training == false` and discards the tape. Evaluation never
-    /// samples latents (posterior means), so the RNG is not consulted
-    /// and the fixed seed below is inert. Models with a tape-free
-    /// mirror (e.g. `StwaModel::forward_nograd`) override this to skip
-    /// graph construction entirely; overrides must stay bitwise
-    /// identical to the graph path.
-    fn forward_eval(&self, x: &Tensor) -> Result<Tensor> {
-        let graph = Graph::new();
-        let xv = graph.constant(x.clone());
-        let mut rng = StdRng::seed_from_u64(0);
-        let out = self.forward(&graph, &xv, &mut rng, false)?;
-        Ok(out.pred.value().as_ref().clone())
+    /// The default runs the graph path with `training == false` and
+    /// discards the tape. Evaluation never samples latents (posterior
+    /// means), so the RNG is not consulted and the fixed seed below is
+    /// inert. `StwaModel` overrides it with the frozen executor (one
+    /// freeze per pass, then `InferSession::run` per batch); overrides
+    /// must stay bitwise identical to the graph path, which remains the
+    /// oracle.
+    fn evaluator(&self) -> Result<Evaluator<'_>> {
+        Ok(Box::new(|x| {
+            let graph = Graph::new();
+            let xv = graph.constant(x.clone());
+            let mut rng = StdRng::seed_from_u64(0);
+            let out = self.forward(&graph, &xv, &mut rng, false)?;
+            Ok(out.pred.value().as_ref().clone())
+        }))
     }
 
     /// A factory that rebuilds this model's architecture on another
@@ -758,6 +766,9 @@ impl Trainer {
                 "batched_forward: empty input".into(),
             ));
         }
+        // Evaluation builds its executor once for the whole pass; the
+        // sampling passes of `predict_with_uncertainty` run the graph.
+        let eval = (!training).then(|| model.evaluator()).transpose()?;
         // Output geometry is only known after the first forward pass.
         let mut out: Vec<f32> = Vec::new();
         let mut out_shape: Vec<usize> = Vec::new();
@@ -766,15 +777,14 @@ impl Trainer {
         while start < num {
             let take = bs.min(num - start);
             let bx = x.narrow(0, start, take)?;
-            let pred = if training {
-                let graph = Graph::new();
-                let xv = graph.constant(bx);
-                let out = model.forward(&graph, &xv, rng, training)?;
-                out.pred.value().as_ref().clone()
-            } else {
-                // Evaluation takes the tape-free path: no autograd
-                // nodes, same kernels, bitwise-identical predictions.
-                model.forward_eval(&bx)?
+            let pred = match &eval {
+                Some(eval) => eval(&bx)?,
+                None => {
+                    let graph = Graph::new();
+                    let xv = graph.constant(bx);
+                    let out = model.forward(&graph, &xv, rng, training)?;
+                    out.pred.value().as_ref().clone()
+                }
             };
             let raw = scaler.inverse(&pred);
             if out_shape.is_empty() {
@@ -933,47 +943,94 @@ mod tests {
             .is_err());
     }
 
-    #[test]
-    fn evaluate_uses_nograd_path_with_bitwise_identical_metrics() {
-        // Rewiring evaluation onto the tape-free forward must not move
-        // a single bit of the reported metrics: compare against a
-        // manual graph-path evaluation of the same split.
-        let dataset = TrafficDataset::generate(DatasetConfig::small());
-        let n = dataset.num_sensors();
-        let mut rng = StdRng::seed_from_u64(9);
-        let model = StwaModel::new(StwaConfig::st_wa(n, 12, 3), &mut rng).unwrap();
-        let trainer = quick_trainer(1);
-        let split = dataset.test(12, 3, 6).unwrap();
-        let scaler = dataset.scaler();
-
-        let via_eval = trainer.evaluate(&model, &split, &scaler, &mut rng).unwrap();
-
-        // Manual graph-path reference, batched identically.
-        let num = split.x.shape()[0];
-        let bs = trainer.config.batch_size;
+    /// Graph-path eval reference: one fresh tape per batch of `bs`,
+    /// de-normalized and concatenated.
+    fn graph_predict(model: &StwaModel, x: &Tensor, scaler: &Scaler, bs: usize) -> Tensor {
+        let mut rng = StdRng::seed_from_u64(0);
+        let num = x.shape()[0];
         let mut chunks: Vec<Tensor> = Vec::new();
         let mut start = 0;
         while start < num {
             let take = bs.min(num - start);
-            let bx = split.x.narrow(0, start, take).unwrap();
             let graph = Graph::new();
-            let xv = graph.constant(bx);
+            let xv = graph.constant(x.narrow(0, start, take).unwrap());
             let out = model.forward(&graph, &xv, &mut rng, false).unwrap();
             chunks.push(scaler.inverse(&out.pred.value()));
             start += take;
         }
         let refs: Vec<&Tensor> = chunks.iter().collect();
-        let graph_preds = stwa_tensor::manip::concat(&refs, 0).unwrap();
-        let via_graph = Metrics::compute(&graph_preds, &split.y);
+        stwa_tensor::manip::concat(&refs, 0).unwrap()
+    }
 
-        assert_eq!(via_eval.mae.to_bits(), via_graph.mae.to_bits());
-        assert_eq!(via_eval.rmse.to_bits(), via_graph.rmse.to_bits());
-        assert_eq!(via_eval.mape.to_bits(), via_graph.mape.to_bits());
+    #[test]
+    fn evaluate_uses_nograd_path_with_bitwise_identical_metrics() {
+        // Evaluation runs the model's eval hook (for ST-WA the frozen
+        // executor), and must not move a single bit of the predictions
+        // or metrics against graph-path eval — for every variant the
+        // frozen engine serves, over a split whose last batch is ragged
+        // (two batch plans per pass).
+        use crate::generator::AwarenessFlags;
+        use std::sync::Arc;
+        use stwa_tensor::SensorGraph;
+
+        let dataset = TrafficDataset::generate(DatasetConfig::small());
+        let n = dataset.num_sensors();
+        let corridor: Vec<Vec<usize>> = (0..n)
+            .map(|i| (i.saturating_sub(1)..(i + 2).min(n)).collect())
+            .collect();
+        let configs = [
+            StwaConfig::st_wa(n, 12, 3),
+            StwaConfig::s_wa(n, 12, 3),
+            StwaConfig {
+                awareness: Some(AwarenessFlags::t_aware()),
+                ..StwaConfig::st_wa(n, 12, 3)
+            },
+            StwaConfig::wa(n, 12, 3),
+            StwaConfig::deterministic(n, 12, 3),
+            StwaConfig::st_wa(n, 12, 3).with_mean_aggregator(),
+            StwaConfig::st_wa(n, 12, 3).with_flow(2),
+            StwaConfig::s_wa(n, 12, 3).with_flow(2),
+            StwaConfig::st_wa(n, 12, 3).with_generated_sca(),
+            StwaConfig::s_wa(n, 12, 3).with_generated_sca(),
+            StwaConfig {
+                sensor_attention: false,
+                ..StwaConfig::st_wa(n, 12, 3)
+            },
+            StwaConfig::wa_1(n, 12, 3),
+            StwaConfig::st_wa(n, 12, 3).with_sensor_graph(Arc::new(SensorGraph::complete(n))),
+            StwaConfig::st_wa(n, 12, 3).with_sensor_graph(Arc::new(
+                SensorGraph::from_neighbor_lists(n, &corridor).unwrap(),
+            )),
+        ];
+        let trainer = quick_trainer(1);
+        let split = dataset.test(12, 3, 6).unwrap();
+        let scaler = dataset.scaler();
+        let bs = trainer.config.batch_size;
+        assert!(
+            !split.x.shape()[0].is_multiple_of(bs),
+            "want a ragged tail batch"
+        );
+
+        for (i, cfg) in configs.into_iter().enumerate() {
+            let mut rng = StdRng::seed_from_u64(9 + i as u64);
+            let model = StwaModel::new(cfg, &mut rng).unwrap();
+            let want = graph_predict(&model, &split.x, &scaler, bs);
+
+            let got = trainer.predict(&model, &split.x, &scaler, &mut rng).unwrap();
+            assert_eq!(got.shape(), want.shape(), "variant {i}");
+            assert_eq!(got.data(), want.data(), "variant {i}: predict diverged");
+
+            let via_eval = trainer.evaluate(&model, &split, &scaler, &mut rng).unwrap();
+            let via_graph = Metrics::compute(&want, &split.y);
+            assert_eq!(via_eval.mae.to_bits(), via_graph.mae.to_bits(), "variant {i}");
+            assert_eq!(via_eval.rmse.to_bits(), via_graph.rmse.to_bits(), "variant {i}");
+            assert_eq!(via_eval.mape.to_bits(), via_graph.mape.to_bits(), "variant {i}");
+        }
     }
 
     #[test]
     fn predict_writes_in_place_bitwise_equal_to_concat() {
-        // The preallocated batched_forward must reproduce the old
+        // The preallocated batched_forward must reproduce the
         // collect-then-concat output bit for bit, including on a split
         // whose last batch is ragged.
         let dataset = TrafficDataset::generate(DatasetConfig::small());
@@ -993,18 +1050,7 @@ mod tests {
         let in_place = trainer
             .predict(&model, &split.x, &scaler, &mut rng)
             .unwrap();
-
-        // Old formulation as the reference.
-        let mut chunks: Vec<Tensor> = Vec::new();
-        let mut start = 0;
-        while start < num {
-            let take = bs.min(num - start);
-            let bx = split.x.narrow(0, start, take).unwrap();
-            chunks.push(scaler.inverse(&model.forward_eval(&bx).unwrap()));
-            start += take;
-        }
-        let refs: Vec<&Tensor> = chunks.iter().collect();
-        let concatenated = stwa_tensor::manip::concat(&refs, 0).unwrap();
+        let concatenated = graph_predict(&model, &split.x, &scaler, bs);
 
         assert_eq!(in_place.shape(), concatenated.shape());
         for (a, b) in in_place.data().iter().zip(concatenated.data()) {

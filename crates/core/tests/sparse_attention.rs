@@ -2,9 +2,8 @@
 //!
 //! 1. With `k = N - 1` (a complete neighbor graph) the sparse path is
 //!    **bitwise identical** to the dense path — forward, backward, and
-//!    through the whole model's tape-free eval mirror — for random N,
-//!    batch, and inputs. (The frozen inference engine is covered by the
-//!    same property in `crates/infer/tests/proptest_infer.rs`.) This is
+//!    through the whole model's eval hook (the frozen executor) — for
+//!    random N, batch, and inputs. This is
 //!    the dense-equivalence gate from the determinism contract
 //!    (DESIGN.md §13): complete neighbor lists reproduce the dense
 //!    kernels' fold orders exactly, so equality is `==` on bits, not a
@@ -84,8 +83,8 @@ proptest! {
         prop_assert_eq!(dense_grads, sparse_grads, "gradient bits diverged");
     }
 
-    /// k = N-1 through the whole ST-WA model's tape-free eval mirror:
-    /// a sparse-complete model predicts the dense model's bits.
+    /// k = N-1 through the whole ST-WA model's eval hook (the frozen
+    /// executor): a sparse-complete model predicts the dense model's bits.
     #[test]
     fn complete_graph_equals_dense_through_model_eval(
         n in 2usize..6,
@@ -103,8 +102,8 @@ proptest! {
         let x = Tensor::randn(&[2, n, 12, 1], &mut StdRng::seed_from_u64(seed ^ 0xabcd));
 
         let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        let a = dense.forward_eval(&x).unwrap();
-        let b = sparse.forward_eval(&x).unwrap();
+        let a = dense.evaluator().unwrap()(&x).unwrap();
+        let b = sparse.evaluator().unwrap()(&x).unwrap();
         prop_assert_eq!(bits(&a), bits(&b), "model eval sparse-complete diverged from dense");
     }
 

@@ -1,10 +1,13 @@
 //! # stwa-infer
 //!
-//! Tape-free inference engine for the ST-WA model family.
+//! Serving front-end for the ST-WA model family.
 //!
-//! Training evaluates models through the autograd graph, paying for
-//! tape nodes, gradient bookkeeping, and per-call GEMM packing that
-//! eval never uses. This crate serves a *frozen* model instead:
+//! The ST-WA forward has two executors. The autograd graph
+//! (`ForecastModel::forward`) is the training path and the oracle. The
+//! frozen executor ([`FrozenStwa`] behind an [`InferSession`], defined in
+//! `stwa-core` and re-exported here) is the eval and serving path:
+//! `Trainer::evaluate`/`predict` run it through the model's per-pass
+//! eval hook, and this crate puts it in front of requests:
 //!
 //! - [`FrozenStwa::freeze`] snapshots the trained parameters, collapses
 //!   the stochastic latents to their posterior means, pre-decodes the
@@ -17,8 +20,8 @@
 //! - [`InferQueue`] coalesces single-sample requests into micro-batches
 //!   (`max_batch` / `max_wait`) in front of a session.
 //!
-//! The engine's contract is **bitwise equality**: every f32 forward
-//! here runs the same tensor kernels in the same order as the training
+//! The frozen executor's contract is **bitwise equality**: at f32 it
+//! runs the same tensor kernels in the same accumulation order as the
 //! graph's eval path, so `InferSession::run` and
 //! `model.forward(graph, x, rng, false)` agree bit-for-bit. The
 //! property tests in `tests/` enforce this across random
@@ -30,15 +33,10 @@
 //! serving. Quantized snapshots keep the bitwise contract one level
 //! down (SIMD kernels vs their scalar references) and gate end-to-end
 //! correctness on a forecast-MAE delta against the f32 snapshot
-//! (DESIGN.md §14); training is f32-only and untouched.
+//! (DESIGN.md §14); training and trainer eval are f32-only.
 
-pub mod frozen;
-pub mod packed;
 pub mod queue;
-pub mod session;
 
-pub use frozen::{BatchPlan, FrozenStwa};
-pub use packed::{PackedDense, PackedMlp, PackedWeight};
 pub use queue::{InferQueue, QueueConfig, RequestId};
-pub use session::InferSession;
+pub use stwa_core::{BatchPlan, FrozenStwa, InferSession, PackedDense, PackedMlp, PackedWeight};
 pub use stwa_tensor::quant::Precision;

@@ -14,7 +14,7 @@
 //! row to running each request alone, so coalescing never changes an
 //! answer.
 
-use crate::session::InferSession;
+use stwa_core::InferSession;
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 use stwa_tensor::{manip, Result, Tensor, TensorError};

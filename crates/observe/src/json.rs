@@ -186,12 +186,18 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses
+/// once per level, so an unbounded `[[[[…` body (a 1 MB request is
+/// allowed) would overflow the stack instead of failing.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parse a complete JSON document (trailing whitespace allowed, trailing
 /// garbage rejected).
 pub fn parse(text: &str) -> Result<Json, JsonError> {
     let mut p = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.value()?;
@@ -205,6 +211,7 @@ pub fn parse(text: &str) -> Result<Json, JsonError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -249,11 +256,25 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(self.err("expected a value")),
         }
+    }
+
+    /// Parse one container, one level deeper, refusing past [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err("nesting too deep"));
+        }
+        self.depth += 1;
+        let value = container(self);
+        self.depth -= 1;
+        value
     }
 
     fn array(&mut self) -> Result<Json, JsonError> {
@@ -454,6 +475,20 @@ mod tests {
         for text in ["", "{", "[1,]", "{\"a\" 1}", "tru", "\"unterminated", "1 2"] {
             let err = parse(text).expect_err(text);
             assert!(err.offset <= text.len(), "{text}: {err}");
+        }
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nest = |depth: usize, open: &str, close: &str| {
+            open.repeat(depth) + &close.repeat(depth)
+        };
+        assert!(parse(&nest(MAX_DEPTH, "[", "]")).is_ok());
+        assert!(parse(&nest(MAX_DEPTH, "{\"a\":", "}").replacen(":}", ":1}", 1)).is_ok());
+        // Far past the limit: a typed error, not a stack overflow.
+        for (open, close) in [("[", "]"), ("{\"a\":", "}")] {
+            let err = parse(&nest(200_000, open, close)).expect_err("too deep");
+            assert!(err.message.contains("too deep"), "{err}");
         }
     }
 }

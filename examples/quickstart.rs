@@ -7,7 +7,8 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use st_wa::model::{StwaConfig, StwaModel, TrainConfig, Trainer};
+use st_wa::ckpt::TrainCheckpoint;
+use st_wa::model::{ForecastModel, StwaConfig, StwaModel, TrainConfig, Trainer};
 use st_wa::traffic::{DatasetConfig, TrafficDataset};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -29,8 +30,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let model = StwaModel::new(StwaConfig::st_wa(n, h, u), &mut rng)?;
     println!(
         "model {}: {} parameters",
-        st_wa::model::ForecastModel::name(&model),
-        st_wa::model::ForecastModel::store(&model).num_scalars()
+        model.name(),
+        model.store().num_scalars()
     );
 
     // 3. Train with the paper's recipe (Adam, Huber + KL, early stop).
@@ -62,11 +63,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 5. Checkpoint round trip: save, restore into a fresh model, and
     //    verify the predictions agree bit for bit.
-    let ckpt = std::env::temp_dir().join("stwa_quickstart.ckpt");
-    st_wa::nn::checkpoint::save(st_wa::model::ForecastModel::store(&model), &ckpt)?;
+    let ckpt = std::env::temp_dir().join("stwa_quickstart_ckpt");
+    std::fs::create_dir_all(&ckpt)?;
+    TrainCheckpoint::params_only("ST-WA", model.store()).save_dir(&ckpt, 1)?;
     let mut rng2 = StdRng::seed_from_u64(999); // different init, overwritten by load
     let restored = StwaModel::new(StwaConfig::st_wa(n, h, u), &mut rng2)?;
-    st_wa::nn::checkpoint::load(st_wa::model::ForecastModel::store(&restored), &ckpt)?;
+    TrainCheckpoint::load_dir(&ckpt)?.load_params_into(restored.store())?;
     let pred2 = trainer.predict(&restored, &window, &dataset.scaler(), &mut rng)?;
     assert!(
         pred.approx_eq(&pred2, 0.0),

@@ -1,13 +1,17 @@
 # Development workflow recipes. `just verify` is the tier-1 gate every
 # change must pass before merging.
 
-# Full verification: release build, complete test suite, lint-clean,
-# and no kernel-throughput regression beyond 15% of the checked-in
-# baseline (normalized against the in-tree reference kernel, so the
-# gate is portable across hosts of different absolute speed).
+# Full verification: release build, complete test suite, the lifecycle
+# benchmark built and unit-tested (it is its own workspace, so the
+# plain build never compiles it against the crates it imports),
+# lint-clean, and no kernel-throughput regression beyond 15% of the
+# checked-in baseline (normalized against the in-tree reference kernel,
+# so the gate is portable across hosts of different absolute speed).
 verify:
     cargo build --release
     cargo test -q
+    cargo build --release --offline --manifest-path lifecycle_bench/Cargo.toml
+    cargo test -q --release --offline --manifest-path lifecycle_bench/Cargo.toml
     cargo clippy --workspace --all-targets -- -D warnings
     cargo run --release -p stwa-bench --bin bench_kernels -- --check BENCH_kernels.json
     cargo run --release -p stwa-bench --bin bench_train_step -- --check BENCH_train_step.json
