@@ -4,15 +4,14 @@
 //! place**: every contribution lands via `add_assign` (an axpy into the
 //! existing buffer) and the only clone left is the unavoidable one that
 //! materializes the first contribution into an empty slot. And the hot
-//! elementwise VJPs have **fused** forms — single `zip` passes spelling
-//! the same per-element expressions as the reference chains — dispatched
-//! when [`stwa_tensor::memory::fused_enabled`] is on. The reference
-//! chains stay in-tree as the `else` branches; the equality proptests
-//! toggle the flag and assert bitwise-identical gradients.
+//! elementwise VJPs are **fused**: single `zip` passes spelling the same
+//! per-element expressions as the multi-tensor reference chains they
+//! replace. Those chains live on as oracles in `tests/proptests.rs`
+//! (`fused_vjps_bitwise_match_reference_chains`), which asserts
+//! bitwise-identical gradients.
 
 use crate::graph::{ActKind, Graph, Id, Node, Op, Var};
 use std::rc::Rc;
-use stwa_tensor::memory::fused_enabled;
 use stwa_tensor::{linalg, Result, Tensor, TensorError};
 
 impl Graph {
@@ -264,34 +263,21 @@ fn propagate(nodes: &mut [Node], op: &Op, grad: &Tensor, out: &Tensor) -> Result
         // exact expression g * ((y*y)*(-1) + 1), replacing the
         // square/affine/mul three-tensor chain.
         Op::Tanh(x) => {
-            let gx = if fused_enabled() {
-                grad.zip(out, "tanh_vjp", |g, y| g * (-(y * y) + 1.0))?
-            } else {
-                grad.mul(&out.square().affine(-1.0, 1.0))?
-            };
+            let gx = grad.zip(out, "tanh_vjp", |g, y| g * (-(y * y) + 1.0))?;
             accumulate(nodes, x, gx)
         }
 
         // sigmoid'(x) = out (1 - out)
         Op::Sigmoid(x) => {
-            let gx = if fused_enabled() {
-                grad.zip(out, "sigmoid_vjp", |g, y| g * (y * (-y + 1.0)))?
-            } else {
-                grad.mul(&out.mul(&out.affine(-1.0, 1.0))?)?
-            };
+            let gx = grad.zip(out, "sigmoid_vjp", |g, y| g * (y * (-y + 1.0)))?;
             accumulate(nodes, x, gx)
         }
 
         Op::Relu(x) => {
             let xv = value_of(nodes, x);
-            let gx = if fused_enabled() {
-                grad.zip(&xv, "relu_vjp", |g, v| {
-                    g * (if v > 0.0 { 1.0 } else { 0.0 })
-                })?
-            } else {
-                let mask = xv.map(|v| if v > 0.0 { 1.0 } else { 0.0 });
-                grad.mul(&mask)?
-            };
+            let gx = grad.zip(&xv, "relu_vjp", |g, v| {
+                g * (if v > 0.0 { 1.0 } else { 0.0 })
+            })?;
             accumulate(nodes, x, gx)
         }
 
@@ -306,22 +292,13 @@ fn propagate(nodes: &mut [Node], op: &Op, grad: &Tensor, out: &Tensor) -> Result
                     0.0
                 }
             };
-            let gx = if fused_enabled() {
-                grad.zip(&xv, "abs_vjp", |g, v| g * sign_of(v))?
-            } else {
-                let sign = xv.map(sign_of);
-                grad.mul(&sign)?
-            };
+            let gx = grad.zip(&xv, "abs_vjp", |g, v| g * sign_of(v))?;
             accumulate(nodes, x, gx)
         }
 
         Op::Square(x) => {
             let xv = value_of(nodes, x);
-            let gx = if fused_enabled() {
-                grad.zip(&xv, "square_vjp", |g, v| g * (v * 2.0))?
-            } else {
-                grad.mul(&xv.mul_scalar(2.0))?
-            };
+            let gx = grad.zip(&xv, "square_vjp", |g, v| g * (v * 2.0))?;
             accumulate(nodes, x, gx)
         }
 
@@ -390,10 +367,10 @@ fn propagate(nodes: &mut [Node], op: &Op, grad: &Tensor, out: &Tensor) -> Result
         // Softmax Jacobian-vector product:
         //   dx = y * (g - sum(g * y, axis))
         // The last axis — every attention softmax — takes the fused row
-        // kernel; other axes (and fused-off mode) run the reference
-        // four-tensor chain. Bitwise identical either way.
+        // kernel; other axes run the strided four-tensor chain. Bitwise
+        // identical either way.
         Op::Softmax { x, axis } => {
-            let gx = if axis + 1 == out.rank() && fused_enabled() {
+            let gx = if axis + 1 == out.rank() {
                 out.softmax_vjp_lastdim(grad)?
             } else {
                 let gy = grad.mul(out)?;
@@ -437,17 +414,13 @@ fn propagate(nodes: &mut [Node], op: &Op, grad: &Tensor, out: &Tensor) -> Result
             let axis_len = xv.shape()[axis];
             let outer: usize = xv.shape()[..axis].iter().product();
             let inner: usize = xv.shape()[axis + 1..].iter().product();
-            // Fused path: when a gradient buffer already exists (windows
-            // overlap, so most narrow VJPs land on a live buffer), add the
-            // slice straight into it instead of materializing a full-size
-            // zero tensor and paying a whole-volume axpy for a sliver of
+            // When a gradient buffer already exists (windows overlap, so
+            // most narrow VJPs land on a live buffer), add the slice
+            // straight into it instead of materializing a full-size zero
+            // tensor and paying a whole-volume axpy for a sliver of
             // nonzeros. A *stale* buffer holds retired values and must
             // not be added into; it takes the generic overwrite path.
-            if fused_enabled()
-                && nodes[x].requires_grad
-                && nodes[x].grad.is_some()
-                && !nodes[x].grad_stale
-            {
+            if nodes[x].requires_grad && nodes[x].grad.is_some() && !nodes[x].grad_stale {
                 let src = grad.data();
                 let existing = nodes[x].grad.as_mut().expect("checked above");
                 let dst = existing.data_mut();

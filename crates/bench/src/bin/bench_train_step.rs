@@ -1,17 +1,14 @@
 //! End-to-end train-step harness: times one full ST-WA optimization
 //! step (forward, Huber loss, backward, Adam) on synthetic PEMS-shaped
-//! batches, in two allocator regimes measured in the same run:
+//! batches, with the buffer pool and fused kernels the trainer runs.
 //!
-//! - **fast**: buffer pool + fused kernels on (the production default);
-//! - **churn**: pool and fusion disabled, so every tensor round-trips
-//!   through the system allocator — the pre-pool behaviour.
-//!
-//! The report (`BENCH_train_step.json`) records per-step wall-clock and
-//! heap-allocation counts for both regimes plus the pool hit rate and
-//! peak live bytes. `--check PATH` compares the *speedup* and
-//! *allocation-reduction* ratios against a checked-in baseline; both are
-//! same-run ratios, so the gate is portable across hosts of different
-//! absolute speed, exactly like `bench_kernels`.
+//! The report (`BENCH_train_step.json`) records per-step wall-clock,
+//! heap allocations per step, the pool hit rate and peak live bytes.
+//! `--check PATH` gates the two allocator figures against a checked-in
+//! baseline: `pool_hit_rate` may not fall, and `allocs_per_step` may
+//! not rise, by more than 15%. Both are counts, not timings, so the
+//! gate is deterministic and portable across hosts. Training speed is
+//! watched end to end by the lifecycle benchmark's `train_rollout`.
 
 use std::time::Instant;
 
@@ -23,7 +20,7 @@ use stwa_nn::loss::huber;
 use stwa_nn::optim::{Adam, Optimizer};
 use stwa_tensor::{memory, Tensor};
 
-/// Allowed relative loss of a baseline ratio before `--check` fails.
+/// Allowed relative drift of a baseline figure before `--check` fails.
 const REGRESSION_TOLERANCE: f64 = 0.15;
 
 /// Synthetic PEMS-shaped problem: sensors x history x horizon sized so
@@ -35,35 +32,18 @@ const HORIZON: usize = 3;
 const BATCH: usize = 8;
 
 const WARMUP_STEPS: usize = 5;
-/// Measurement runs in chunks; the per-step time reported for each mode
-/// is the fastest chunk's. OS jitter and cgroup throttling are strictly
-/// additive on wall-clock, so the minimum is the steady-state estimate
-/// (both modes are treated symmetrically).
+/// Measurement runs in chunks; the reported per-step time is the
+/// fastest chunk's. OS jitter and cgroup throttling are strictly
+/// additive on wall-clock, so the minimum is the steady-state estimate.
 const CHUNKS: usize = 5;
 const STEPS_PER_CHUNK: usize = 8;
 const MEASURED_STEPS: usize = CHUNKS * STEPS_PER_CHUNK;
 
-struct ModeResult {
+struct Report {
     ms_per_step: f64,
     allocs_per_step: f64,
     hit_rate: f64,
     peak_bytes: usize,
-}
-
-struct Report {
-    fast: ModeResult,
-    churn: ModeResult,
-}
-
-impl Report {
-    /// Churn-mode step time over fast-mode step time (same run).
-    fn speedup(&self) -> f64 {
-        self.churn.ms_per_step / self.fast.ms_per_step
-    }
-    /// Churn-mode heap allocations over fast-mode heap allocations.
-    fn alloc_reduction(&self) -> f64 {
-        self.churn.allocs_per_step / self.fast.allocs_per_step.max(1e-9)
-    }
 }
 
 /// One optimization step: fresh tape, forward, raw-scale Huber (+KL
@@ -83,18 +63,17 @@ fn train_step(model: &StwaModel, opt: &mut Adam, bx: &Tensor, by: &Tensor, rng: 
     opt.finish_step();
 }
 
-fn run_mode(
-    pooled: bool,
-    model: &StwaModel,
-    opt: &mut Adam,
-    bx: &Tensor,
-    by: &Tensor,
-    rng: &mut StdRng,
-) -> ModeResult {
-    memory::set_pool_enabled(pooled);
-    memory::set_fused_enabled(pooled);
+fn run_suite() -> Report {
+    let mut rng = StdRng::seed_from_u64(42);
+    let model =
+        StwaModel::new(StwaConfig::st_wa(SENSORS, HISTORY, HORIZON), &mut rng).expect("model");
+    let mut opt = Adam::new(model.store(), 1e-3);
+    let bx = Tensor::randn(&[BATCH, SENSORS, HISTORY, 1], &mut rng);
+    let by = Tensor::randn(&[BATCH, SENSORS, HORIZON, 1], &mut rng);
+
+    // The pool starts cold and earns its hit rate inside the warmup.
     for _ in 0..WARMUP_STEPS {
-        train_step(model, opt, bx, by, rng);
+        train_step(&model, &mut opt, &bx, &by, &mut rng);
     }
     memory::reset_peak();
     let before = memory::pool_stats();
@@ -102,19 +81,19 @@ fn run_mode(
     for _ in 0..CHUNKS {
         let t0 = Instant::now();
         for _ in 0..STEPS_PER_CHUNK {
-            train_step(model, opt, bx, by, rng);
+            train_step(&model, &mut opt, &bx, &by, &mut rng);
         }
         let chunk_ms = t0.elapsed().as_secs_f64() * 1e3 / STEPS_PER_CHUNK as f64;
         best_ms = best_ms.min(chunk_ms);
     }
     let after = memory::pool_stats();
-    let d_heap = after.heap_allocs - before.heap_allocs;
     let d_hits = after.hits - before.hits;
+    // Every pool miss is one heap allocation.
     let d_misses = after.misses - before.misses;
     let lookups = d_hits + d_misses;
-    ModeResult {
+    Report {
         ms_per_step: best_ms,
-        allocs_per_step: d_heap as f64 / MEASURED_STEPS as f64,
+        allocs_per_step: d_misses as f64 / MEASURED_STEPS as f64,
         hit_rate: if lookups == 0 {
             0.0
         } else {
@@ -124,43 +103,17 @@ fn run_mode(
     }
 }
 
-fn run_suite() -> Report {
-    let mut rng = StdRng::seed_from_u64(42);
-    let model =
-        StwaModel::new(StwaConfig::st_wa(SENSORS, HISTORY, HORIZON), &mut rng).expect("model");
-    let mut opt = Adam::new(model.store(), 1e-3);
-    let bx = Tensor::randn(&[BATCH, SENSORS, HISTORY, 1], &mut rng);
-    let by = Tensor::randn(&[BATCH, SENSORS, HORIZON, 1], &mut rng);
-
-    // Churn first so the fast mode's pool starts cold and still has to
-    // earn its hit rate inside its own warmup.
-    let churn = run_mode(false, &model, &mut opt, &bx, &by, &mut rng);
-    let fast = run_mode(true, &model, &mut opt, &bx, &by, &mut rng);
-    // Leave the process-wide switches in their default-on state.
-    memory::set_pool_enabled(true);
-    memory::set_fused_enabled(true);
-    Report { fast, churn }
-}
-
 fn render_json(r: &Report) -> String {
     format!(
         "{{\n  \"threads\": {},\n  \"shape\": \"[{BATCH},{SENSORS},{HISTORY},1] -> \
          [{BATCH},{SENSORS},{HORIZON},1]\",\n  \"measured_steps\": {MEASURED_STEPS},\n  \
-         \"fast_ms_per_step\": {:.3},\n  \"churn_ms_per_step\": {:.3},\n  \
-         \"speedup\": {:.3},\n  \"fast_allocs_per_step\": {:.1},\n  \
-         \"churn_allocs_per_step\": {:.1},\n  \"alloc_reduction\": {:.3},\n  \
-         \"pool_hit_rate\": {:.4},\n  \"fast_peak_bytes\": {},\n  \
-         \"churn_peak_bytes\": {}\n}}\n",
+         \"ms_per_step\": {:.3},\n  \"allocs_per_step\": {:.1},\n  \
+         \"pool_hit_rate\": {:.4},\n  \"peak_bytes\": {}\n}}\n",
         stwa_pool::current_threads(),
-        r.fast.ms_per_step,
-        r.churn.ms_per_step,
-        r.speedup(),
-        r.fast.allocs_per_step,
-        r.churn.allocs_per_step,
-        r.alloc_reduction(),
-        r.fast.hit_rate,
-        r.fast.peak_bytes,
-        r.churn.peak_bytes,
+        r.ms_per_step,
+        r.allocs_per_step,
+        r.hit_rate,
+        r.peak_bytes,
     )
 }
 
@@ -206,46 +159,43 @@ fn main() {
 
     let report = run_suite();
     println!(
-        "train step  fast {:.2} ms  churn {:.2} ms  speedup {:.2}x",
-        report.fast.ms_per_step,
-        report.churn.ms_per_step,
-        report.speedup()
-    );
-    println!(
-        "heap allocs fast {:.0}/step  churn {:.0}/step  reduction {:.1}x  hit rate {:.1}%",
-        report.fast.allocs_per_step,
-        report.churn.allocs_per_step,
-        report.alloc_reduction(),
-        report.fast.hit_rate * 100.0
-    );
-    println!(
-        "peak bytes  fast {}  churn {}",
-        memory::format_bytes(report.fast.peak_bytes),
-        memory::format_bytes(report.churn.peak_bytes)
+        "train step  {:.2} ms  heap allocs {:.0}/step  hit rate {:.1}%  peak {}",
+        report.ms_per_step,
+        report.allocs_per_step,
+        report.hit_rate * 100.0,
+        memory::format_bytes(report.peak_bytes)
     );
 
     if let Some(baseline_path) = check_path {
         let baseline = std::fs::read_to_string(&baseline_path)
             .unwrap_or_else(|e| panic!("cannot read baseline {baseline_path}: {e}"));
         let mut failed = false;
-        for (key, new_val) in [
-            ("speedup", report.speedup()),
-            ("alloc_reduction", report.alloc_reduction()),
+        // (key, measured, whether higher is better)
+        for (key, new_val, higher_is_better) in [
+            ("pool_hit_rate", report.hit_rate, true),
+            ("allocs_per_step", report.allocs_per_step, false),
         ] {
             let Some(old_val) = parse_number(&baseline, key) else {
                 println!("note: no baseline value for {key}, skipping");
                 continue;
             };
-            let floor = old_val * (1.0 - REGRESSION_TOLERANCE);
-            if new_val < floor {
+            let (bound, ok) = if higher_is_better {
+                let floor = old_val * (1.0 - REGRESSION_TOLERANCE);
+                (floor, new_val >= floor)
+            } else {
+                let ceiling = old_val * (1.0 + REGRESSION_TOLERANCE);
+                (ceiling, new_val <= ceiling)
+            };
+            let side = if higher_is_better { "floor" } else { "ceiling" };
+            if ok {
+                println!("ok {key}: {new_val:.4} vs baseline {old_val:.4} ({side} {bound:.4})");
+            } else {
                 eprintln!(
-                    "REGRESSION {key}: {new_val:.2} fell below {floor:.2} \
-                     (baseline {old_val:.2} - {:.0}% tolerance)",
+                    "REGRESSION {key}: {new_val:.4} is past its {side} {bound:.4} \
+                     (baseline {old_val:.4} +/- {:.0}% tolerance)",
                     REGRESSION_TOLERANCE * 100.0
                 );
                 failed = true;
-            } else {
-                println!("ok {key}: {new_val:.2} vs baseline {old_val:.2} (floor {floor:.2})");
             }
         }
         if failed {

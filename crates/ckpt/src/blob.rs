@@ -109,7 +109,9 @@ struct Cursor<'a> {
 
 impl<'a> Cursor<'a> {
     fn take(&mut self, n: usize) -> Result<&'a [u8], CkptError> {
-        if self.at + n > self.bytes.len() {
+        // `at <= len` always holds, so this cannot overflow the way
+        // `at + n` can for a corrupt length.
+        if n > self.bytes.len() - self.at {
             return Err(CkptError::Truncated {
                 path: self.path.to_path_buf(),
                 detail: format!(
@@ -175,11 +177,16 @@ pub fn decode(path: &Path, bytes: &[u8]) -> Result<Vec<NamedTensor>, CkptError> 
             shape.push(cur.u64()? as usize);
         }
         let data_bytes = cur.u64()? as usize;
-        let elems: usize = shape.iter().product();
-        if data_bytes != elems * 4 {
+        // Corrupt dims can overflow the byte count; that is a format
+        // error, not an arithmetic panic.
+        let implied = shape
+            .iter()
+            .try_fold(4usize, |acc, &d| acc.checked_mul(d))
+            .ok_or_else(|| format_err(format!("tensor '{name}': shape {shape:?} overflows")))?;
+        if data_bytes != implied {
             return Err(format_err(format!(
-                "tensor '{name}': shape {shape:?} implies {} data bytes, record says {data_bytes}",
-                elems * 4
+                "tensor '{name}': shape {shape:?} implies {implied} data bytes, \
+                 record says {data_bytes}"
             )));
         }
         let raw = cur.take(data_bytes)?;
@@ -335,6 +342,31 @@ mod tests {
         bad[at] ^= 0x10;
         let res = decode(Path::new("mem"), &bad);
         assert!(res.is_err(), "corruption must not decode");
+    }
+
+    #[test]
+    fn huge_dims_and_lengths_are_typed_not_overflows() {
+        // One record whose dims multiply past usize::MAX, and one whose
+        // dims and byte count agree on a length so close to usize::MAX
+        // that `offset + length` would wrap.
+        let near_max = (1u64 << 62) - 1;
+        for (dims, data_bytes) in [([1u64 << 62, 8], 0u64), ([near_max, 1], near_max * 4)] {
+            let mut bytes = Vec::new();
+            bytes.extend_from_slice(MAGIC);
+            bytes.extend_from_slice(&BLOB_FORMAT.to_le_bytes());
+            bytes.extend_from_slice(&1u64.to_le_bytes());
+            bytes.extend_from_slice(&1u64.to_le_bytes());
+            bytes.push(b'w');
+            bytes.extend_from_slice(&2u64.to_le_bytes());
+            for d in dims {
+                bytes.extend_from_slice(&d.to_le_bytes());
+            }
+            bytes.extend_from_slice(&data_bytes.to_le_bytes());
+            assert!(matches!(
+                decode(Path::new("mem"), &bytes),
+                Err(CkptError::Format { .. }) | Err(CkptError::Truncated { .. })
+            ));
+        }
     }
 
     #[test]

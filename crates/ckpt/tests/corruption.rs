@@ -7,9 +7,17 @@
 //! checkpoint, injects one fault, and asserts both the error variant
 //! and that a subsequent load of an undamaged copy still succeeds (the
 //! reader holds no global state that a failed load could corrupt).
+//!
+//! The file-level checksum in the manifest stops almost every random
+//! corruption before the record decoder runs. The mutation corpus at
+//! the end re-stamps that checksum after damaging a blob, so the damage
+//! reaches the per-record decoder behind it.
 
+use proptest::collection::vec;
+use proptest::prelude::*;
 use stwa_ckpt::{
-    CkptError, NamedTensor, Registry, TrainCheckpoint, MANIFEST_FILE, OPTIM_BLOB, PARAMS_BLOB,
+    CkptError, Manifest, NamedTensor, Registry, TrainCheckpoint, MANIFEST_FILE, OPTIM_BLOB,
+    PARAMS_BLOB,
 };
 use stwa_nn::ParamStore;
 use stwa_tensor::Tensor;
@@ -256,4 +264,118 @@ fn registry_load_propagates_corruption_errors() {
         Err(CkptError::ChecksumMismatch { .. })
     ));
     let _ = std::fs::remove_dir_all(&root);
+}
+
+/// FNV-1a 64, written out here rather than borrowed from the crate, so
+/// a re-stamped manifest does not depend on the code under test.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        hash ^= b as u64;
+        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    hash
+}
+
+/// Point the manifest's entry for `file` at the blob as it now is on
+/// disk: its byte count and whole-file checksum.
+fn restamp(dir: &std::path::Path, file: &str) {
+    let bytes = std::fs::read(dir.join(file)).unwrap();
+    let path = dir.join(MANIFEST_FILE);
+    let mut manifest = Manifest::read(&path).unwrap();
+    let entry = manifest.blobs.iter_mut().find(|b| b.file == file).unwrap();
+    entry.bytes = bytes.len() as u64;
+    entry.checksum = fnv1a(&bytes);
+    manifest.write(&path).unwrap();
+}
+
+/// Each tensor's name, shape and value bits.
+fn tensor_bits(tensors: &[NamedTensor]) -> Vec<(&str, &[usize], Vec<u32>)> {
+    let bits = |t: &NamedTensor| t.data.iter().map(|v| v.to_bits()).collect();
+    tensors
+        .iter()
+        .map(|t| (t.name.as_str(), &t.shape[..], bits(t)))
+        .collect()
+}
+
+fn same_values(a: &TrainCheckpoint, b: &TrainCheckpoint) -> bool {
+    [
+        (&a.params, &b.params),
+        (&a.opt_m, &b.opt_m),
+        (&a.opt_v, &b.opt_v),
+        (&a.best_params, &b.best_params),
+    ]
+    .iter()
+    .all(|(x, y)| tensor_bits(x) == tensor_bits(y))
+}
+
+/// Damage `bytes` in place. `kind` picks the mutation: flip bytes,
+/// truncate, or splice (replace a range with junk or with a copy of
+/// another range of the same blob, which can duplicate whole fields).
+fn mutate(bytes: &mut Vec<u8>, kind: usize, picks: &[u64], junk: &[u8]) {
+    let len = bytes.len();
+    let pick = |i: usize, n: usize| (picks[i] % n.max(1) as u64) as usize;
+    match kind {
+        0 => {
+            for i in 0..1 + pick(0, 3) {
+                let at = pick(1 + i, len);
+                bytes[at] ^= (picks[4 + i] as u8).max(1);
+            }
+        }
+        1 => bytes.truncate(pick(0, len)),
+        _ => {
+            let from = pick(0, len);
+            let to = from + pick(1, (len - from).min(24) + 1);
+            let insert: Vec<u8> = if picks[2].is_multiple_of(2) {
+                junk.to_vec()
+            } else {
+                let src = pick(3, len);
+                bytes[src..(src + pick(4, 24)).min(len)].to_vec()
+            };
+            bytes.splice(from..to, insert);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Damage behind a valid file checksum must still fail typed: the
+    /// record decoder returns a `CkptError`, never panics, and never
+    /// hands back values other than the ones saved.
+    #[test]
+    fn restamped_blob_corruption_fails_typed_in_the_record_decoder(
+        optim in any::<bool>(),
+        kind in 0usize..3,
+        picks in vec(any::<u64>(), 8..=8),
+        junk in vec(any::<u8>(), 0..24),
+    ) {
+        let dir = healthy("restamped");
+        let original = TrainCheckpoint::load_dir(&dir).unwrap();
+        let file = if optim { OPTIM_BLOB } else { PARAMS_BLOB };
+        let path = dir.join(file);
+        let mut bytes = std::fs::read(&path).unwrap();
+        mutate(&mut bytes, kind, &picks, &junk);
+        std::fs::write(&path, &bytes).unwrap();
+        restamp(&dir, file);
+        let outcome = TrainCheckpoint::load_dir(&dir);
+        cleanup(&dir);
+        match outcome {
+            // A splice can rewrite a range with its own bytes.
+            Ok(loaded) => prop_assert!(
+                same_values(&loaded, &original),
+                "kind {} loaded different values", kind
+            ),
+            Err(CkptError::ChecksumMismatch { tensor: None, .. }) => {
+                prop_assert!(false, "re-stamped file checksum was not accepted")
+            }
+            Err(
+                CkptError::Format { .. }
+                | CkptError::Truncated { .. }
+                | CkptError::VersionSkew { .. }
+                | CkptError::ChecksumMismatch { .. },
+            ) => {}
+            Err(other) => prop_assert!(false, "untyped corruption outcome: {other:?}"),
+        }
+    }
 }

@@ -231,7 +231,7 @@ mod tests {
     use rand::SeedableRng;
     use stwa_autograd::Graph;
     use stwa_nn::ParamStore;
-    use stwa_tensor::{linalg, memory};
+    use stwa_tensor::linalg;
 
     #[test]
     fn packed_dense_bitwise_matches_linear_graph() {
@@ -240,18 +240,13 @@ mod tests {
         let layer = Linear::new(&store, "l", 9, 13, &mut rng);
         let packed = PackedDense::from_linear(&layer).unwrap();
         let x = Tensor::randn(&[4, 6, 9], &mut rng);
-        for fused in [true, false] {
-            let prev = memory::fused_enabled();
-            memory::set_fused_enabled(fused);
-            let g = Graph::new();
-            let want = layer
-                .forward_act(&g, &g.constant(x.clone()), Activation::Tanh)
-                .unwrap()
-                .value();
-            let got = packed.forward_act(&x, Activation::Tanh).unwrap();
-            memory::set_fused_enabled(prev);
-            assert_eq!(want.data(), got.data());
-        }
+        let g = Graph::new();
+        let want = layer
+            .forward_act(&g, &g.constant(x.clone()), Activation::Tanh)
+            .unwrap()
+            .value();
+        let got = packed.forward_act(&x, Activation::Tanh).unwrap();
+        assert_eq!(want.data(), got.data());
         assert!(packed.packed_bytes() > 0);
         assert_eq!(packed.precision(), Precision::F32);
         // Wrong trailing dim rejected.

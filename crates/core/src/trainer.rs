@@ -14,7 +14,7 @@ use stwa_autograd::{Graph, Var};
 use stwa_ckpt::checkpoint::capture_params;
 use stwa_ckpt::{CkptError, NamedTensor, Registry, TrainCheckpoint};
 use stwa_observe::{EpochRecord, RunManifest};
-use stwa_nn::batch::{prefetched_shuffled, BatchIter};
+use stwa_nn::batch::prefetched_shuffled;
 use stwa_nn::loss::huber;
 use stwa_nn::optim::{Adam, AdamState, Optimizer};
 use stwa_nn::ParamStore;
@@ -159,17 +159,12 @@ pub struct TrainConfig {
     /// After each publish, prune old versions keeping the newest this
     /// many (`0` keeps everything).
     pub keep_checkpoints: usize,
-    /// Cut batch `t+1` on a background thread while batch `t` trains
-    /// (see [`stwa_nn::batch::prefetched_shuffled`]). Bitwise
-    /// identical to the non-prefetched path — the gather copies the
-    /// same rows and the epoch RNG advances identically — so this is
-    /// deliberately *excluded* from the resume fingerprint. Defaults
-    /// to on; `STWA_PREFETCH=0` disables it.
-    pub prefetch: bool,
 }
 
 /// Default for [`TrainConfig::shards`]: `STWA_SHARDS` env override,
 /// else the startup pool size.
+// Shard count sizes data parallelism to the host, like `STWA_THREADS`.
+#[allow(clippy::disallowed_methods)]
 fn default_shards() -> usize {
     match std::env::var("STWA_SHARDS") {
         Ok(v) => match v.trim().parse::<usize>() {
@@ -200,17 +195,8 @@ impl Default for TrainConfig {
             registry_name: None,
             resume_from: None,
             keep_checkpoints: 0,
-            prefetch: default_prefetch(),
         }
     }
-}
-
-/// Default for [`TrainConfig::prefetch`]: on unless `STWA_PREFETCH=0`.
-fn default_prefetch() -> bool {
-    !matches!(
-        std::env::var("STWA_PREFETCH").as_deref(),
-        Ok("0") | Ok("false") | Ok("off")
-    )
 }
 
 /// Map a checkpoint-layer error into the trainer's error type without
@@ -432,7 +418,7 @@ impl Trainer {
             let mut kl_batches = 0usize;
             let mut batches = 0usize;
             let mut shuffle_rng = StdRng::seed_from_u64(cfg.seed ^ (epoch as u64 + 1));
-            let mut step = |bx: Tensor, by: Tensor| -> Result<()> {
+            let step = |bx: Tensor, by: Tensor| -> Result<()> {
                 let (loss_val, kl_val) = match &engine {
                     Some(engine) => {
                         // One RNG draw per batch seeds every shard's
@@ -453,19 +439,12 @@ impl Trainer {
                 batches += 1;
                 Ok(())
             };
-            if cfg.prefetch {
-                // Same batches, same bits: the background gather copies
-                // the rows `index_select` would, overlapped with the
-                // train step (see `prefetched_batches_match_batchiter_
-                // bitwise` and the trainer's prefetch parity test).
-                prefetched_shuffled(&train.x, &train.y, cfg.batch_size, &mut shuffle_rng, step)?;
-            } else {
-                for (bx, by) in
-                    BatchIter::shuffled(&train.x, &train.y, cfg.batch_size, &mut shuffle_rng)?
-                {
-                    step(bx, by)?;
-                }
-            }
+            // Batch `t+1` is cut on a background thread while batch `t`
+            // trains. Same batches, same bits as `BatchIter::shuffled`:
+            // the gather copies the rows `index_select` would and the
+            // epoch RNG advances identically (see `prefetched_batches_
+            // match_batchiter_bitwise` and `sharded_training.rs`).
+            prefetched_shuffled(&train.x, &train.y, cfg.batch_size, &mut shuffle_rng, step)?;
             let wall = started.elapsed().as_secs_f64();
             epoch_times.push(wall);
             epochs_run = epoch + 1;
@@ -854,39 +833,6 @@ mod tests {
             .history
             .iter()
             .all(|(l, v)| l.is_finite() && v.is_finite()));
-    }
-
-    #[test]
-    fn prefetched_training_is_bitwise_identical() {
-        // The double-buffered loader must not change a single bit of
-        // the trajectory: same batches, same RNG draws, same params.
-        let dataset = TrafficDataset::generate(DatasetConfig::small());
-        let n = dataset.num_sensors();
-        let run = |prefetch: bool| -> (Vec<(f32, f32)>, Vec<Vec<f32>>) {
-            let mut rng = StdRng::seed_from_u64(3);
-            let model = StwaModel::new(StwaConfig::wa(n, 12, 3), &mut rng).unwrap();
-            let trainer = Trainer::new(TrainConfig {
-                epochs: 2,
-                batch_size: 16,
-                train_stride: 6,
-                eval_stride: 6,
-                shards: 1,
-                prefetch,
-                ..TrainConfig::default()
-            });
-            let report = trainer.train(&model, &dataset, 12, 3).unwrap();
-            let params = model
-                .store()
-                .params()
-                .iter()
-                .map(|p| p.value().data().to_vec())
-                .collect();
-            (report.history, params)
-        };
-        let (hist_on, params_on) = run(true);
-        let (hist_off, params_off) = run(false);
-        assert_eq!(hist_on, hist_off, "loss histories diverged");
-        assert_eq!(params_on, params_off, "trained parameters diverged");
     }
 
     #[test]

@@ -231,8 +231,9 @@ mod tests {
 
     #[test]
     fn prefetched_consumes_rng_like_shuffled() {
-        // Both paths must advance the epoch RNG identically so a
-        // trainer can toggle prefetch without perturbing later epochs.
+        // Both paths must advance the epoch RNG identically, so the
+        // trainer's prefetched epochs match a `BatchIter::shuffled`
+        // reference run epoch after epoch.
         let (x, y) = samples(9);
         let mut a = StdRng::seed_from_u64(77);
         let mut b = StdRng::seed_from_u64(77);

@@ -5,7 +5,7 @@ use crate::init;
 use crate::param::{Param, ParamStore};
 use rand::Rng;
 use stwa_autograd::{ActKind, Graph, Var};
-use stwa_tensor::{memory, Result, TensorError};
+use stwa_tensor::{Result, TensorError};
 
 /// Pointwise nonlinearity selector for [`Mlp`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -106,11 +106,11 @@ impl Linear {
         self.forward_act(graph, x, Activation::Identity)
     }
 
-    /// `act(x W + b)` in one call. With a bias present and the fused
-    /// switch on, the bias add and the activation collapse into a single
-    /// tape node ([`Var::bias_add_act`]), which skips one intermediate
-    /// tensor per layer; the result is bit-identical to
-    /// `act.apply(&forward(..))`.
+    /// `act(x W + b)` in one call. With a bias present, the bias add and
+    /// the activation collapse into a single tape node
+    /// ([`Var::bias_add_act`]), which skips one intermediate tensor per
+    /// layer; the result is bit-identical to the `add` then
+    /// `act.apply` chain (see `fused_bias_add_act_bitwise_matches_unfused`).
     pub fn forward_act(&self, graph: &Graph, x: &Var, act: Activation) -> Result<Var> {
         let shape = x.shape();
         let rank = shape.len();
@@ -124,20 +124,11 @@ impl Linear {
         // Flatten leading dims so matmul sees a plain [M, in] x [in, out].
         let lead: usize = shape[..rank - 1].iter().product();
         let flat = x.reshape(&[lead, self.in_dim])?;
-        let mut y = flat.matmul(&w)?;
-        let mut applied = false;
-        if let Some(b) = &self.b {
-            let b = b.leaf(graph);
-            if memory::fused_enabled() {
-                y = y.bias_add_act(&b, act.kind())?;
-                applied = true;
-            } else {
-                y = y.add(&b)?;
-            }
-        }
-        if !applied {
-            y = act.apply(&y);
-        }
+        let y = flat.matmul(&w)?;
+        let y = match &self.b {
+            Some(b) => y.bias_add_act(&b.leaf(graph), act.kind())?,
+            None => act.apply(&y),
+        };
         let mut out_shape = shape[..rank - 1].to_vec();
         out_shape.push(self.out_dim);
         y.reshape(&out_shape)

@@ -170,6 +170,9 @@ fn pool() -> &'static Pool {
 
 /// The pool size the process starts with: `STWA_THREADS` when set to a
 /// positive integer, otherwise `available_parallelism`.
+// The host's core budget is a deployment fact, not a code path: every
+// thread count gives bitwise-identical results.
+#[allow(clippy::disallowed_methods)]
 pub fn configured_threads() -> usize {
     static CONFIGURED: OnceLock<usize> = OnceLock::new();
     *CONFIGURED.get_or_init(|| {

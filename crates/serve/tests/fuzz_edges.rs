@@ -2,11 +2,13 @@
 //! request parser and the `POST /observe` body parser. Every input —
 //! random bytes, token soup, valid requests cut at every byte — must
 //! come back as a typed outcome, never a panic or a stack overflow.
+//! The forecast response codec is fuzzed for the reverse direction:
+//! every finite f32 and every fingerprint must survive bit for bit.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
 use stwa_serve::http::{parse_request, Parse, MAX_BODY};
-use stwa_serve::proto::parse_observe;
+use stwa_serve::proto::{forecast_body, parse_forecast_values, parse_observe, parse_window_fp};
 
 /// Fragments that make token soup look like HTTP often enough to reach
 /// the header, length and body branches.
@@ -221,6 +223,50 @@ proptest! {
             }
             Err(e) => prop_assert!(!ok, "rejected {body}: {e}"),
         }
+    }
+}
+
+/// A finite f32 from random bits: a NaN or infinity (exponent all ones)
+/// has its top exponent bit cleared, which keeps sign and mantissa.
+fn finite_from_bits(bits: u32) -> f32 {
+    let x = f32::from_bits(bits);
+    if x.is_finite() {
+        x
+    } else {
+        f32::from_bits(bits & !0x4000_0000)
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `forecast_body` -> `parse_forecast_values` / `parse_window_fp`
+    /// returns every value and the fingerprint bit for bit. Each case
+    /// splices a subnormal, `-0.0` and `±f32::MAX` into random
+    /// bit patterns, so the edges appear in every draw.
+    #[test]
+    fn forecast_body_round_trips_values_and_fingerprint_bitwise(
+        draws in vec(any::<u32>(), 0..24),
+        subnormal_bits in any::<u32>(),
+        at in vec(any::<usize>(), 4..=4),
+        window_fp in any::<u64>(),
+        sensor in any::<u32>(),
+        horizon in 0u32..64,
+        version in 0u64..1 << 53,
+    ) {
+        let mut values: Vec<f32> = draws.iter().map(|&b| finite_from_bits(b)).collect();
+        // Exponent bits cleared and one mantissa bit set: a subnormal
+        // of either sign.
+        let subnormal = f32::from_bits((subnormal_bits & 0x807f_ffff) | 1);
+        prop_assert!(subnormal.is_subnormal());
+        for (&edge, &pos) in [subnormal, -0.0, f32::MAX, -f32::MAX].iter().zip(&at) {
+            values.insert(pos % (values.len() + 1), edge);
+        }
+        let body = forecast_body(sensor, horizon, version, window_fp, "miss", &values);
+        let back = parse_forecast_values(&body).unwrap();
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(&back), bits(&values));
+        prop_assert_eq!(parse_window_fp(&body).unwrap(), window_fp);
     }
 }
 

@@ -1036,19 +1036,15 @@ fn batch_offsets(lead: &[usize], lead_out: &[usize], mat_elems: usize) -> Offset
     if lead_out.is_empty() {
         return Offsets::Strided(0);
     }
-    // Strided fast paths eliminate the per-call offset `Vec` — part of
-    // the zero-churn allocator work, so the pool toggle also restores
-    // the original materialized form for A/B runs.
-    if crate::memory::pool_enabled() {
-        // No broadcasting: consecutive batches are consecutive matrices.
-        if lead == lead_out {
-            return Offsets::Strided(mat_elems);
-        }
-        // One matrix shared by every batch (e.g. a weight applied across
-        // a batched activation): constant offset 0.
-        if volume(lead) == 1 {
-            return Offsets::Strided(0);
-        }
+    // Strided fast paths need no per-call offset `Vec`.
+    // No broadcasting: consecutive batches are consecutive matrices.
+    if lead == lead_out {
+        return Offsets::Strided(mat_elems);
+    }
+    // One matrix shared by every batch (e.g. a weight applied across a
+    // batched activation): constant offset 0.
+    if volume(lead) == 1 {
+        return Offsets::Strided(0);
     }
     // Broadcast strides in units of matrices; scaled to element offsets
     // when pushed.

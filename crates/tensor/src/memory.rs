@@ -24,6 +24,9 @@
 //! constructors. After the first step warms the pool, steady-state
 //! training performs almost no heap allocation.
 //!
+//! What the pool keeps is decided by buffer size alone: `MIN_POOL_LEN`,
+//! `MAX_CLASS`, `MAX_PER_CLASS` and `MAX_HELD_BYTES`.
+//!
 //! Accounting semantics are preserved: a pooled (free) buffer belongs to
 //! no tensor, so it is **not** counted in `current_bytes`/`peak_bytes` —
 //! those still mean "bytes held live in tensor buffers", exactly as
@@ -37,8 +40,8 @@
 //! contended mutex acquisition is still ~20ns, noise next to a 256KiB
 //! memset saved per hit.
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Mutex, Once, OnceLock};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, OnceLock};
 
 /// A live-bytes counter with a high-water mark.
 ///
@@ -164,10 +167,6 @@ struct PoolCounters {
     hits: AtomicUsize,
     misses: AtomicUsize,
     recycled_bytes: AtomicUsize,
-    /// Heap allocations performed by the tensor constructors — pool
-    /// misses plus every construction while the pool is disabled. The
-    /// bench gate compares this per-step, pool on vs off.
-    heap_allocs: AtomicUsize,
 }
 
 static POOL: OnceLock<Mutex<PoolInner>> = OnceLock::new();
@@ -175,10 +174,7 @@ static COUNTERS: PoolCounters = PoolCounters {
     hits: AtomicUsize::new(0),
     misses: AtomicUsize::new(0),
     recycled_bytes: AtomicUsize::new(0),
-    heap_allocs: AtomicUsize::new(0),
 };
-static POOL_ENABLED: AtomicBool = AtomicBool::new(true);
-static POOL_ENV: Once = Once::new();
 
 fn pool() -> &'static Mutex<PoolInner> {
     POOL.get_or_init(|| {
@@ -187,55 +183,6 @@ fn pool() -> &'static Mutex<PoolInner> {
             held_bytes: 0,
         })
     })
-}
-
-/// Whether buffer recycling is on. Defaults to on; the `STWA_POOL`
-/// environment variable (`0`/`false`/`off`) disables it at startup, and
-/// [`set_pool_enabled`] toggles it at runtime (for A/B benchmarks and the
-/// pool-off determinism tests).
-pub fn pool_enabled() -> bool {
-    POOL_ENV.call_once(|| {
-        if let Ok(v) = std::env::var("STWA_POOL") {
-            let off = v == "0" || v.eq_ignore_ascii_case("false") || v.eq_ignore_ascii_case("off");
-            POOL_ENABLED.store(!off, Ordering::Relaxed);
-        }
-    });
-    POOL_ENABLED.load(Ordering::Relaxed)
-}
-
-/// Enable or disable buffer recycling at runtime. Disabling does not
-/// flush buffers already pooled; call [`clear_pool`] for that.
-pub fn set_pool_enabled(on: bool) {
-    // Make sure the env default can no longer overwrite our setting.
-    POOL_ENV.call_once(|| {});
-    POOL_ENABLED.store(on, Ordering::Relaxed);
-}
-
-static FUSED_ENABLED: AtomicBool = AtomicBool::new(true);
-static FUSED_ENV: Once = Once::new();
-
-/// Whether fused kernels (softmax_lastdim, bias+activation, fused Huber,
-/// fused VJPs) are dispatched. All fused paths are bitwise-identical to
-/// their reference chains, so this flag only exists for A/B benchmarking
-/// and for the equality tests that prove that claim. `STWA_FUSED=0`
-/// disables at startup; [`set_fused_enabled`] toggles at runtime.
-///
-/// The flag lives here (not in autograd) so every layer — tensor kernels,
-/// backward VJPs, nn loss/layers — reads one switch.
-pub fn fused_enabled() -> bool {
-    FUSED_ENV.call_once(|| {
-        if let Ok(v) = std::env::var("STWA_FUSED") {
-            let off = v == "0" || v.eq_ignore_ascii_case("false") || v.eq_ignore_ascii_case("off");
-            FUSED_ENABLED.store(!off, Ordering::Relaxed);
-        }
-    });
-    FUSED_ENABLED.load(Ordering::Relaxed)
-}
-
-/// Enable or disable fused-kernel dispatch at runtime.
-pub fn set_fused_enabled(on: bool) {
-    FUSED_ENV.call_once(|| {});
-    FUSED_ENABLED.store(on, Ordering::Relaxed);
 }
 
 /// `floor(log2(cap))`, the free-list index for a buffer of capacity `cap`.
@@ -257,7 +204,7 @@ fn pooled_capacity(len: usize) -> usize {
 /// buffers are twice as big. Both probes are O(1) — the lock is held for
 /// a few instructions, never a scan.
 fn pool_acquire(len: usize) -> Option<Vec<f32>> {
-    if len < MIN_POOL_LEN || !pool_enabled() {
+    if len < MIN_POOL_LEN {
         return None;
     }
     let c = class_of(pooled_capacity(len));
@@ -288,18 +235,16 @@ fn note_hit(len: usize) {
 
 fn note_miss() {
     COUNTERS.misses.fetch_add(1, Ordering::Relaxed);
-    COUNTERS.heap_allocs.fetch_add(1, Ordering::Relaxed);
     stwa_observe::counter!("alloc.pool_misses").incr();
-    stwa_observe::counter!("alloc.heap").incr();
 }
 
-/// A freshly heap-allocated, *empty* buffer for `len` elements. With the
-/// pool on, capacity is rounded up to the pooled power of two so the
-/// buffer joins a free list when its tensor drops; with the pool off it
-/// is exact-sized, matching the pre-pool allocator behaviour.
+/// A freshly heap-allocated, *empty* buffer for `len` elements.
+/// Capacity is rounded up to the pooled power of two so the buffer
+/// joins a free list when its tensor drops; sizes the pool never holds
+/// (below `MIN_POOL_LEN` or above `MAX_CLASS`) get exactly `len`.
 fn fresh(len: usize) -> Vec<f32> {
     note_miss();
-    if len >= MIN_POOL_LEN && pool_enabled() && class_of(pooled_capacity(len)) <= MAX_CLASS {
+    if len >= MIN_POOL_LEN && class_of(pooled_capacity(len)) <= MAX_CLASS {
         Vec::with_capacity(pooled_capacity(len))
     } else {
         Vec::with_capacity(len)
@@ -361,8 +306,8 @@ pub fn take_copy(src: &[f32]) -> Vec<f32> {
 }
 
 /// Return a dropped buffer to the free list (or to the allocator when
-/// the pool is off, the buffer is out of class range, or the pool is at
-/// capacity). Called from `Tensor::drop`.
+/// the buffer is out of class range or the pool is at capacity).
+/// Called from `Tensor::drop`.
 ///
 /// Only power-of-two capacities are accepted — those are the buffers the
 /// pool itself built, and uniformity within a class is what keeps
@@ -370,7 +315,7 @@ pub fn take_copy(src: &[f32]) -> Vec<f32> {
 /// `from_vec`) go back to the allocator.
 pub fn recycle(buf: Vec<f32>) {
     let cap = buf.capacity();
-    if cap < MIN_POOL_LEN || !cap.is_power_of_two() || !pool_enabled() {
+    if cap < MIN_POOL_LEN || !cap.is_power_of_two() {
         return;
     }
     let c = class_of(cap);
@@ -397,7 +342,6 @@ pub fn clear_pool() {
     COUNTERS.hits.store(0, Ordering::Relaxed);
     COUNTERS.misses.store(0, Ordering::Relaxed);
     COUNTERS.recycled_bytes.store(0, Ordering::Relaxed);
-    COUNTERS.heap_allocs.store(0, Ordering::Relaxed);
 }
 
 /// Snapshot of pool activity since the last [`clear_pool`].
@@ -405,13 +349,11 @@ pub fn clear_pool() {
 pub struct PoolStats {
     /// Acquisitions served from the free lists.
     pub hits: usize,
-    /// Acquisitions that fell through to the heap.
+    /// Acquisitions that fell through to the heap: each is one heap
+    /// allocation by a tensor constructor.
     pub misses: usize,
     /// Bytes served from recycled buffers.
     pub recycled_bytes: usize,
-    /// Heap allocations by the tensor constructors (misses, plus every
-    /// construction while the pool is disabled).
-    pub heap_allocs: usize,
     /// Bytes currently parked on the free lists.
     pub held_bytes: usize,
 }
@@ -435,7 +377,6 @@ pub fn pool_stats() -> PoolStats {
         hits: COUNTERS.hits.load(Ordering::Relaxed),
         misses: COUNTERS.misses.load(Ordering::Relaxed),
         recycled_bytes: COUNTERS.recycled_bytes.load(Ordering::Relaxed),
-        heap_allocs: COUNTERS.heap_allocs.load(Ordering::Relaxed),
         held_bytes: held,
     }
 }
@@ -540,8 +481,6 @@ mod tests {
 
     #[test]
     fn pool_roundtrip_reuses_buffer() {
-        let was = pool_enabled();
-        set_pool_enabled(true);
         // Use an odd size no other test allocates, so concurrent tests
         // cannot steal the buffer between release and acquire.
         let n = 12_345;
@@ -552,13 +491,10 @@ mod tests {
         assert_eq!(again.len(), n);
         assert_eq!(again.as_ptr(), ptr, "same-size reacquire must reuse the buffer");
         drop(again);
-        set_pool_enabled(was);
     }
 
     #[test]
     fn pool_filled_and_copy_reinitialize() {
-        let was = pool_enabled();
-        set_pool_enabled(true);
         let n = 23_456;
         let mut buf = take_scratch(n);
         for x in buf.iter_mut() {
@@ -572,7 +508,6 @@ mod tests {
         let src: Vec<f32> = (0..n).map(|i| i as f32).collect();
         let copy = take_copy(&src);
         assert_eq!(copy, src);
-        set_pool_enabled(was);
     }
 
     #[test]
@@ -585,26 +520,12 @@ mod tests {
         assert!(after.misses > before.misses || after.hits == before.hits);
     }
 
-    #[test]
-    fn disabled_pool_counts_heap_allocs() {
-        let was = pool_enabled();
-        set_pool_enabled(false);
-        let before = pool_stats().heap_allocs;
-        let buf = take_scratch(9_999);
-        recycle(buf); // dropped, not pooled
-        let after = pool_stats().heap_allocs;
-        assert!(after > before);
-        set_pool_enabled(was);
-    }
-
     /// Hand-rolled interleaving test for the free list: several threads
     /// hammer acquire/write/verify/release concurrently. If the pool ever
     /// handed the same buffer to two threads at once, the sentinel check
     /// would see the other thread's writes.
     #[test]
     fn pool_survives_concurrent_drop_and_alloc() {
-        let was = pool_enabled();
-        set_pool_enabled(true);
         let threads = 8;
         let rounds = 200;
         let handles: Vec<_> = (0..threads)
@@ -635,6 +556,5 @@ mod tests {
         }
         let stats = pool_stats();
         assert!(stats.held_bytes <= MAX_HELD_BYTES);
-        set_pool_enabled(was);
     }
 }

@@ -30,7 +30,9 @@ test:
     cargo test --workspace
 
 # Micro-benchmarks: kernel + attention scaling criterion suites, then
-# the GEMM throughput report (refreshes BENCH_kernels.json).
+# the GEMM throughput report (refreshes BENCH_kernels.json) and the
+# production train step's allocator report: heap allocations per step,
+# pool hit rate, ms per step (refreshes BENCH_train_step.json).
 bench:
     cargo bench -p stwa-bench --bench kernels --bench attention_scaling
     cargo run --release -p stwa-bench --bin bench_kernels -- --out BENCH_kernels.json
